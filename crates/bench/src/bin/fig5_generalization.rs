@@ -22,10 +22,11 @@ use serde::Serialize;
 use snowcat_bench::{print_table, save_json, std_pipeline, Scale, FAMILY_SEED};
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{
-    collect_data, fine_tune, run_campaign_budgeted, train_on, train_pic, CampaignResult, CostModel,
-    ExploreConfig, Explorer, Pic, S1NewBitmap,
+    collect_data, fine_tune, train_on, train_pic, CampaignResult, CostModel, ExploreConfig,
+    Explorer, Pic, S1NewBitmap,
 };
 use snowcat_corpus::interacting_cti_pairs;
+use snowcat_harness::{run_supervised_campaign, SupervisorConfig};
 use snowcat_kernel::{Kernel, KernelVersion};
 use snowcat_nn::Checkpoint;
 
@@ -60,27 +61,20 @@ fn campaign_with(
     label_override: Option<&str>,
     max_hours: Option<f64>,
 ) -> CampaignResult {
-    match checkpoint {
-        None => {
-            run_campaign_budgeted(kernel, corpus, stream, Explorer::Pct, explore, cost, max_hours)
-        }
-        Some(ck) => {
-            let pic = Pic::new(ck, kernel, cfg);
-            let mut res = run_campaign_budgeted(
-                kernel,
-                corpus,
-                stream,
-                Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
-                explore,
-                cost,
-                max_hours,
-            );
-            if let Some(l) = label_override {
-                res.label = format!("MLPCT-S1[{l}]");
-            }
-            res
-        }
+    let sup = SupervisorConfig { max_hours, ..SupervisorConfig::new() };
+    let pic = checkpoint.map(|ck| Pic::new(ck, kernel, cfg));
+    let explorer = match &pic {
+        None => Explorer::Pct,
+        Some(pic) => Explorer::mlpct(pic, Box::new(S1NewBitmap::new())),
+    };
+    let mut res =
+        run_supervised_campaign(kernel, corpus, stream, explorer, explore, cost, &sup, None)
+            .expect("campaign without checkpointing cannot fail")
+            .result;
+    if let (Some(_), Some(l)) = (&pic, label_override) {
+        res.label = format!("MLPCT-S1[{l}]");
     }
+    res
 }
 
 fn main() {

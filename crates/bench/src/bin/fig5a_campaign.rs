@@ -16,10 +16,11 @@ use serde::Serialize;
 use snowcat_bench::{cached_pic, print_table, save_json, std_pipeline, Scale, FAMILY_SEED};
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{
-    run_campaign_budgeted, CampaignResult, CostModel, ExploreConfig, Explorer, Pic, S1NewBitmap,
-    S2NewBlocks, S3LimitedTrials, SelectionStrategy,
+    CampaignResult, CostModel, ExploreConfig, Explorer, Pic, S1NewBitmap, S2NewBlocks,
+    S3LimitedTrials, SelectionStrategy,
 };
 use snowcat_corpus::interacting_cti_pairs;
+use snowcat_harness::{run_supervised_campaign, SupervisorConfig};
 use snowcat_kernel::KernelVersion;
 
 #[derive(Serialize)]
@@ -65,17 +66,15 @@ fn main() {
         .with_inference_cap(scale.pick(80, 800, 1600))
         .with_seed(FAMILY_SEED ^ 0xACE5);
     let cost = CostModel::default();
+    let sup = SupervisorConfig { max_hours: Some(time_budget), ..SupervisorConfig::new() };
+    let campaign = |explorer: Explorer<'_, '_>| -> CampaignResult {
+        run_supervised_campaign(&kernel, corpus, &stream, explorer, &explore, &cost, &sup, None)
+            .expect("campaign without checkpointing cannot fail")
+            .result
+    };
 
     println!("running PCT campaign ({time_budget} sim h over up to {stream_len} CTIs) ...");
-    let pct = run_campaign_budgeted(
-        &kernel,
-        corpus,
-        &stream,
-        Explorer::Pct,
-        &explore,
-        &cost,
-        Some(time_budget),
-    );
+    let pct = campaign(Explorer::Pct);
 
     let mut results = vec![pct];
     for name in ["S1", "S2", "S3"] {
@@ -86,16 +85,7 @@ fn main() {
             "S2" => Box::new(S2NewBlocks::new()),
             _ => Box::new(S3LimitedTrials::new(3)),
         };
-        let res = run_campaign_budgeted(
-            &kernel,
-            corpus,
-            &stream,
-            Explorer::mlpct(&pic, strategy),
-            &explore,
-            &cost,
-            Some(time_budget),
-        );
-        results.push(res);
+        results.push(campaign(Explorer::mlpct(&pic, strategy)));
     }
 
     // Summary table.

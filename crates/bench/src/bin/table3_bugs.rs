@@ -16,7 +16,8 @@
 use serde::Serialize;
 use snowcat_bench::{cached_pic, print_table, save_json, std_pipeline, Scale, FAMILY_SEED};
 use snowcat_cfg::KernelCfg;
-use snowcat_core::{run_campaign_budgeted, CostModel, ExploreConfig, Explorer, Pic, S1NewBitmap};
+use snowcat_core::{CampaignResult, CostModel, ExploreConfig, Explorer, Pic, S1NewBitmap};
+use snowcat_harness::{run_supervised_campaign, SupervisorConfig};
 use snowcat_kernel::{BugId, KernelVersion};
 
 #[derive(Serialize)]
@@ -117,28 +118,18 @@ fn main() {
         .with_seed(FAMILY_SEED ^ 0xB065);
     let cost = CostModel::default();
     let time_budget = Some(scale.pick(0.02, 2.0, 6.0));
+    let sup = SupervisorConfig { max_hours: time_budget, ..SupervisorConfig::new() };
+    let campaign = |explorer: Explorer<'_, '_>| -> CampaignResult {
+        run_supervised_campaign(&kernel, corpus, &stream, explorer, &explore, &cost, &sup, None)
+            .expect("campaign without checkpointing cannot fail")
+            .result
+    };
 
     println!("running PCT campaign ({:?} sim h over up to {} CTIs) ...", time_budget, stream.len());
-    let pct = run_campaign_budgeted(
-        &kernel,
-        corpus,
-        &stream,
-        Explorer::Pct,
-        &explore,
-        &cost,
-        time_budget,
-    );
+    let pct = campaign(Explorer::Pct);
     println!("running MLPCT-S1 campaign ...");
     let pic = Pic::new(&checkpoint, &kernel, &cfg);
-    let mlpct = run_campaign_budgeted(
-        &kernel,
-        corpus,
-        &stream,
-        Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
-        &explore,
-        &cost,
-        time_budget,
-    );
+    let mlpct = campaign(Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())));
 
     let found_by = |id: BugId| -> Option<String> {
         let in_pct = pct.bugs_found.contains(&id);

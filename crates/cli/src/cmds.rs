@@ -435,6 +435,17 @@ fn load_model(args: &Args) -> Result<Checkpoint, Box<dyn std::error::Error>> {
     Ok(load_checkpoint(std::path::Path::new(&path))?)
 }
 
+/// The `--explorer` choice: `None` for PCT, else the MLPCT strategy.
+fn explorer_kind(args: &Args) -> Result<Option<StrategyKind>, Box<dyn std::error::Error>> {
+    match args.get_or("explorer", "pct").as_str() {
+        "pct" => Ok(None),
+        other => match StrategyKind::parse(other) {
+            Some(kind) => Ok(Some(kind)),
+            None => Err(format!("unknown explorer {other:?} (pct|s1|s2|s3)").into()),
+        },
+    }
+}
+
 /// `snowcat explore` — PCT vs MLPCT-S1 on a CTI stream.
 pub fn explore(args: &Args) -> CmdResult {
     args.ensure_known(&["version", "seed", "model", "ctis", "budget"])?;
@@ -668,8 +679,8 @@ pub fn campaign(args: &Args) -> CmdResult {
         None => None,
     };
 
-    let supervised = match args.get_or("explorer", "pct").as_str() {
-        "pct" => {
+    let supervised = match explorer_kind(args)? {
+        None => {
             if args.has_flag("serve") {
                 return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into());
             }
@@ -684,14 +695,9 @@ pub fn campaign(args: &Args) -> CmdResult {
                 resume,
             )?
         }
-        s @ ("s1" | "s2" | "s3") => {
+        Some(kind) => {
             let ck = load_model(args)?;
             let cfg = KernelCfg::build(&k);
-            let kind = match s {
-                "s1" => StrategyKind::S1,
-                "s2" => StrategyKind::S2,
-                _ => StrategyKind::S3(2),
-            };
             if args.has_flag("serve") {
                 served_campaign(
                     args,
@@ -721,7 +727,6 @@ pub fn campaign(args: &Args) -> CmdResult {
                 )?
             }
         }
-        other => return Err(format!("unknown explorer {other:?} (pct|s1|s2|s3)").into()),
     };
 
     let last = supervised.result.last();
@@ -977,20 +982,14 @@ pub fn fleet(args: &Args) -> CmdResult {
                         inference server cannot be shared across worker processes"
                     .into());
             }
-            let label = match explorer.as_str() {
-                "pct" => "PCT".to_string(),
-                s @ ("s1" | "s2" | "s3") => {
+            let label = match explorer_kind(args)? {
+                None => "PCT".to_string(),
+                Some(kind) => {
                     // Validate the model now for a fast config error; each
                     // worker subprocess reloads it from --model itself.
                     load_model(args)?;
-                    let kind = match s {
-                        "s1" => StrategyKind::S1,
-                        "s2" => StrategyKind::S2,
-                        _ => StrategyKind::S3(2),
-                    };
-                    format!("MLPCT-{}", kind.build().name())
+                    kind.label()
                 }
-                other => return Err(format!("unknown explorer {other:?} (pct|s1|s2|s3)").into()),
             };
             // The worker command must rebuild the exact same kernel, corpus,
             // stream, and explorer — the wire handshake cross-checks
@@ -1042,8 +1041,8 @@ pub fn fleet(args: &Args) -> CmdResult {
             };
             run_fleet(&worker, &label, seed, stream.len(), &cfg, resume)?
         } else {
-            match explorer.as_str() {
-                "pct" => {
+            match explorer_kind(args)? {
+                None => {
                     if args.has_flag("serve") {
                         return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into());
                     }
@@ -1059,15 +1058,10 @@ pub fn fleet(args: &Args) -> CmdResult {
                     };
                     run_fleet(&worker, "PCT", seed, stream.len(), &cfg, resume)?
                 }
-                s @ ("s1" | "s2" | "s3") => {
+                Some(kind) => {
                     let ck = load_model(args)?;
                     let kcfg = KernelCfg::build(&k);
-                    let kind = match s {
-                        "s1" => StrategyKind::S1,
-                        "s2" => StrategyKind::S2,
-                        _ => StrategyKind::S3(2),
-                    };
-                    let label = format!("MLPCT-{}", kind.build().name());
+                    let label = kind.label();
                     // Every worker slot gets its own Pic (graph builder + cache);
                     // with --serve they all route inference through one shared
                     // micro-batching server instead of predicting inline.
@@ -1119,7 +1113,6 @@ pub fn fleet(args: &Args) -> CmdResult {
                         run_fleet(&worker, &label, seed, stream.len(), &cfg, resume)?
                     }
                 }
-                other => return Err(format!("unknown explorer {other:?} (pct|s1|s2|s3)").into()),
             }
         })
     })();
@@ -1211,8 +1204,8 @@ pub fn fleet_worker(args: &Args) -> CmdResult {
     cfg.stall_ms = args.get_parse("stall-ms", 0u64)?;
     cfg.fault_plan = FaultPlan::parse(&args.get_or("fault-plan", ""))?;
 
-    match args.get_or("explorer", "pct").as_str() {
-        "pct" => {
+    match explorer_kind(args)? {
+        None => {
             let make = |_slot: usize| Explorer::Pct;
             let worker = ThreadWorker {
                 kernel: &k,
@@ -1225,15 +1218,10 @@ pub fn fleet_worker(args: &Args) -> CmdResult {
             };
             snowcat_harness::serve_worker(&worker, "PCT", seed, stream.len(), cfg.lease_ms)?;
         }
-        s @ ("s1" | "s2" | "s3") => {
+        Some(kind) => {
             let ck = load_model(args)?;
             let kcfg = KernelCfg::build(&k);
-            let kind = match s {
-                "s1" => StrategyKind::S1,
-                "s2" => StrategyKind::S2,
-                _ => StrategyKind::S3(2),
-            };
-            let label = format!("MLPCT-{}", kind.build().name());
+            let label = kind.label();
             let pic = Pic::new(&ck, &k, &kcfg);
             let make = |_slot: usize| Explorer::mlpct(&pic, kind.build());
             let worker = ThreadWorker {
@@ -1247,7 +1235,6 @@ pub fn fleet_worker(args: &Args) -> CmdResult {
             };
             snowcat_harness::serve_worker(&worker, &label, seed, stream.len(), cfg.lease_ms)?;
         }
-        other => return Err(format!("unknown explorer {other:?} (pct|s1|s2|s3)").into()),
     }
     Ok(())
 }

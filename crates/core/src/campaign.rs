@@ -1,25 +1,18 @@
-//! Cumulative testing campaigns over a CTI stream (Figure 5).
+//! Cumulative testing campaigns over a CTI stream (Figure 5): the explorer
+//! choice and the result shape.
 //!
 //! A campaign feeds a stream of CTIs to an explorer (PCT or MLPCT+strategy),
 //! gives each a fixed execution budget, and tracks cumulative unique
 //! potential data races, schedule-dependent block coverage and exposed bugs
-//! against *simulated testing time* (see [`crate::costmodel`]).
+//! against *simulated testing time* (see [`crate::costmodel`]). The loop
+//! itself is `snowcat_harness::run_supervised_campaign`; with
+//! `SupervisorConfig::new()` it is the plain paper campaign.
 
-use crate::costmodel::CostModel;
-use crate::error::SnowcatError;
-use crate::mlpct::{explore_mlpct, explore_pct, ExploreConfig};
 use crate::pic::Pic;
 use crate::predictor::PredictorService;
 use crate::strategy::{S1NewBitmap, S2NewBlocks, S3LimitedTrials, SelectionStrategy};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use snowcat_cfg::KernelCfg;
-use snowcat_corpus::StiProfile;
-use snowcat_events::{CampaignEvent, EventSink};
-use snowcat_kernel::{BugId, Kernel};
-use snowcat_nn::Checkpoint;
-use snowcat_race::RaceSet;
-use snowcat_vm::BitSet;
+use snowcat_kernel::BugId;
 
 /// One point on a campaign's coverage-vs-time curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -106,119 +99,7 @@ impl Explorer<'_, '_> {
     }
 }
 
-/// Run a campaign over `stream` (pairs of corpus indices).
-///
-/// Equivalent to [`run_campaign_budgeted`] with no time budget.
-pub fn run_campaign(
-    kernel: &Kernel,
-    corpus: &[StiProfile],
-    stream: &[(usize, usize)],
-    explorer: Explorer<'_, '_>,
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
-) -> CampaignResult {
-    run_campaign_budgeted(kernel, corpus, stream, explorer, explore_cfg, cost, None)
-}
-
-/// Run a campaign over `stream`, stopping once `max_hours` of simulated
-/// testing time has been spent (if given). Time-budgeted campaigns are the
-/// faithful Figure-5 comparison: a cheap explorer processes more CTIs in
-/// the same wall-clock window.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaign_budgeted(
-    kernel: &Kernel,
-    corpus: &[StiProfile],
-    stream: &[(usize, usize)],
-    mut explorer: Explorer<'_, '_>,
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
-    max_hours: Option<f64>,
-) -> CampaignResult {
-    let label = explorer.label();
-    let mut races = RaceSet::new();
-    let mut harmful = RaceSet::new();
-    let mut blocks = BitSet::new(kernel.num_blocks());
-    let mut bugs_found: Vec<BugId> = Vec::new();
-    let mut executions = 0u64;
-    let mut inferences = 0u64;
-    let mut history = Vec::with_capacity(stream.len());
-
-    for (ci, &(ia, ib)) in stream.iter().enumerate() {
-        if let Some(h) = max_hours {
-            if cost.hours(executions, inferences) >= h {
-                break;
-            }
-        }
-        let a = &corpus[ia];
-        let b = &corpus[ib];
-        let cfg = ExploreConfig {
-            // Decorrelate schedule proposals across CTIs deterministically.
-            seed: explore_cfg.seed ^ (ci as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            ..*explore_cfg
-        };
-        let outcome = match &mut explorer {
-            Explorer::Pct => explore_pct(kernel, a, b, &cfg),
-            Explorer::MlPct { service, strategy } => {
-                explore_mlpct(kernel, service, strategy.as_mut(), a, b, &cfg)
-            }
-        };
-        executions += outcome.executions;
-        inferences += outcome.inferences;
-        for r in &outcome.races {
-            races.insert(r.key);
-            if !r.benign {
-                harmful.insert(r.key);
-            }
-        }
-        blocks.union_with(&outcome.sched_dep_blocks);
-        for bug in outcome.bugs {
-            if !bugs_found.contains(&bug) {
-                bugs_found.push(bug);
-            }
-        }
-        history.push(HistoryPoint {
-            ctis: ci + 1,
-            executions,
-            inferences,
-            hours: cost.hours(executions, inferences),
-            races: races.len(),
-            harmful_races: harmful.len(),
-            sched_dep_blocks: blocks.count(),
-            bugs: bugs_found.len(),
-        });
-    }
-    CampaignResult { label, history, bugs_found }
-}
-
-/// Owned description of an explorer, usable across threads (unlike
-/// [`Explorer`], which borrows a deployed [`Pic`]).
-#[allow(clippy::large_enum_variant)] // checkpoints are megabytes; Pct is a tag
-#[derive(Clone)]
-pub enum ExplorerSpec {
-    /// Plain PCT.
-    Pct,
-    /// MLPCT with its own copy of the model and a strategy.
-    MlPct {
-        /// Model checkpoint (each campaign thread deploys its own copy).
-        checkpoint: Checkpoint,
-        /// Which selection strategy to run.
-        strategy: StrategyKind,
-    },
-    /// Fault-injection seam: the worker panics with `reason` instead of
-    /// running. Used by the harness's fault plans to prove that a panicking
-    /// campaign thread is contained per-campaign rather than aborting the
-    /// process.
-    Faulty {
-        /// The panic payload the worker will raise.
-        reason: String,
-        /// The fault-plan entry that planted this spec (e.g. `panic@1`),
-        /// threaded into [`SnowcatError::CampaignFailed`] so per-slot
-        /// results keep naming what fired.
-        fault: Option<String>,
-    },
-}
-
-/// Strategy selector for [`ExplorerSpec`].
+/// Strategy selector: an owned, copyable name for a [`SelectionStrategy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
     /// S1 — new predicted-coverage bitmap.
@@ -230,6 +111,27 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
+    /// Parse a CLI explorer name: `s1`, `s2`, or `s3` (per-block limit 2).
+    /// Anything else, including `pct`, is not a strategy.
+    pub fn parse(name: &str) -> Option<Self> {
+        match name {
+            "s1" => Some(StrategyKind::S1),
+            "s2" => Some(StrategyKind::S2),
+            "s3" => Some(StrategyKind::S3(2)),
+            _ => None,
+        }
+    }
+
+    /// The label an MLPCT explorer with this strategy reports
+    /// (`"MLPCT-S1"`, `"MLPCT-S3(2)"`, …), without building the strategy.
+    pub fn label(self) -> String {
+        match self {
+            StrategyKind::S1 => "MLPCT-S1".into(),
+            StrategyKind::S2 => "MLPCT-S2".into(),
+            StrategyKind::S3(limit) => format!("MLPCT-S3({limit})"),
+        }
+    }
+
     /// Instantiate the strategy.
     pub fn build(self) -> Box<dyn SelectionStrategy> {
         match self {
@@ -240,308 +142,19 @@ impl StrategyKind {
     }
 }
 
-impl ExplorerSpec {
-    /// Display label matching what the spawned [`Explorer`] would report.
-    pub fn label(&self) -> String {
-        match self {
-            ExplorerSpec::Pct => "PCT".into(),
-            ExplorerSpec::MlPct { strategy, .. } => {
-                format!("MLPCT-{}", strategy.build().name())
-            }
-            ExplorerSpec::Faulty { .. } => "FAULTY".into(),
-        }
-    }
-}
-
-/// Render a `catch_unwind` panic payload as a message (string payloads are
-/// passed through; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "<non-string panic payload>".into()
-    }
-}
-
-/// Run several campaigns over the same stream concurrently, one OS thread
-/// per explorer (campaigns are embarrassingly parallel: each owns its model
-/// copy, strategy state and VM executions).
-///
-/// Results come back in spec order, identical to running each campaign
-/// serially with [`run_campaign`]. A panicking worker is contained to its
-/// own slot as [`SnowcatError::CampaignFailed`]; the other campaigns'
-/// results are preserved.
-pub fn run_campaigns_parallel(
-    kernel: &Kernel,
-    cfg: &KernelCfg,
-    corpus: &[StiProfile],
-    stream: &[(usize, usize)],
-    specs: &[ExplorerSpec],
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
-) -> Vec<Result<CampaignResult, SnowcatError>> {
-    run_campaigns_parallel_budgeted(kernel, cfg, corpus, stream, specs, explore_cfg, cost, None)
-}
-
-/// [`run_campaigns_parallel`] with a per-campaign simulated-time budget.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaigns_parallel_budgeted(
-    kernel: &Kernel,
-    cfg: &KernelCfg,
-    corpus: &[StiProfile],
-    stream: &[(usize, usize)],
-    specs: &[ExplorerSpec],
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
-    max_hours: Option<f64>,
-) -> Vec<Result<CampaignResult, SnowcatError>> {
-    run_campaigns_parallel_instrumented(
-        kernel,
-        cfg,
-        corpus,
-        stream,
-        specs,
-        explore_cfg,
-        cost,
-        max_hours,
-        None,
-    )
-}
-
-/// [`run_campaigns_parallel_budgeted`] plus worker-lifecycle events: each
-/// slot emits `WorkerStarted` when its thread begins and `WorkerFinished`
-/// (with the triggering fault-plan entry, if any) when it stores its
-/// result. With `events: None` this is exactly the uninstrumented runner.
-#[allow(clippy::too_many_arguments)]
-pub fn run_campaigns_parallel_instrumented(
-    kernel: &Kernel,
-    cfg: &KernelCfg,
-    corpus: &[StiProfile],
-    stream: &[(usize, usize)],
-    specs: &[ExplorerSpec],
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
-    max_hours: Option<f64>,
-    events: Option<&EventSink>,
-) -> Vec<Result<CampaignResult, SnowcatError>> {
-    type Slot = Option<Result<CampaignResult, SnowcatError>>;
-    let results: Mutex<Vec<Slot>> = Mutex::new((0..specs.len()).map(|_| None).collect());
-    // The scope itself only errors if a *worker thread* panicked past its
-    // own catch_unwind, which the per-worker wrapper below makes impossible.
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for (i, spec) in specs.iter().enumerate() {
-            let results = &results;
-            scope.spawn(move |_| {
-                let spawned_at = std::time::Instant::now();
-                if let Some(sink) = events {
-                    sink.campaign(CampaignEvent::WorkerStarted {
-                        slot: i as u64,
-                        label: spec.label(),
-                    });
-                }
-                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match spec {
-                    ExplorerSpec::Pct => run_campaign_budgeted(
-                        kernel,
-                        corpus,
-                        stream,
-                        Explorer::Pct,
-                        explore_cfg,
-                        cost,
-                        max_hours,
-                    ),
-                    ExplorerSpec::MlPct { checkpoint, strategy } => {
-                        let pic = Pic::new(checkpoint, kernel, cfg);
-                        run_campaign_budgeted(
-                            kernel,
-                            corpus,
-                            stream,
-                            Explorer::mlpct(&pic, strategy.build()),
-                            explore_cfg,
-                            cost,
-                            max_hours,
-                        )
-                    }
-                    ExplorerSpec::Faulty { reason, .. } => panic!("{}", reason.clone()),
-                }));
-                let injected = match spec {
-                    ExplorerSpec::Faulty { fault, .. } => fault.clone(),
-                    _ => None,
-                };
-                let res = run.map_err(|payload| SnowcatError::CampaignFailed {
-                    label: spec.label(),
-                    message: panic_message(payload.as_ref()),
-                    fault: injected.clone(),
-                });
-                if let Some(sink) = events {
-                    sink.campaign(CampaignEvent::WorkerFinished {
-                        slot: i as u64,
-                        label: spec.label(),
-                        ok: res.is_ok(),
-                        fault: injected,
-                        elapsed_us: spawned_at.elapsed().as_micros() as u64,
-                    });
-                }
-                results.lock()[i] = Some(res);
-            });
-        }
-    });
-    debug_assert!(scope_result.is_ok(), "worker panics are contained by catch_unwind");
-    results
-        .into_inner()
-        .into_iter()
-        .map(|r| r.expect("every campaign thread stores its result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::S1NewBitmap;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use snowcat_cfg::KernelCfg;
-    use snowcat_corpus::{random_cti_pairs, StiFuzzer};
-    use snowcat_kernel::{generate, GenConfig};
-    use snowcat_nn::{Checkpoint, PicConfig, PicModel};
-
-    fn setup() -> (Kernel, KernelCfg, Vec<StiProfile>, Vec<(usize, usize)>) {
-        let k = generate(&GenConfig::default());
-        let cfg = KernelCfg::build(&k);
-        let mut fz = StiFuzzer::new(&k, 1);
-        fz.seed_each_syscall();
-        let corpus = fz.into_corpus();
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let stream = random_cti_pairs(&mut rng, corpus.len(), 5);
-        (k, cfg, corpus, stream)
-    }
 
     #[test]
-    fn pct_campaign_accumulates_monotonically() {
-        let (k, _, corpus, stream) = setup();
-        let cfg = ExploreConfig { exec_budget: 6, ..Default::default() };
-        let res = run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &CostModel::default());
-        assert_eq!(res.label, "PCT");
-        assert_eq!(res.history.len(), stream.len());
-        for w in res.history.windows(2) {
-            assert!(w[1].races >= w[0].races);
-            assert!(w[1].sched_dep_blocks >= w[0].sched_dep_blocks);
-            assert!(w[1].hours >= w[0].hours);
-            assert!(w[1].bugs >= w[0].bugs);
-        }
-    }
-
-    #[test]
-    fn mlpct_campaign_counts_inferences() {
-        let (k, cfg_k, corpus, stream) = setup();
-        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-        let ck = Checkpoint::new(&model, 0.5, "t");
-        let pic = Pic::new(&ck, &k, &cfg_k);
-        let cfg = ExploreConfig { exec_budget: 4, inference_cap: 40, ..Default::default() };
-        let res = run_campaign(
-            &k,
-            &corpus,
-            &stream,
-            Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
-            &cfg,
-            &CostModel::default(),
-        );
-        assert_eq!(res.label, "MLPCT-S1");
-        let last = res.last();
-        assert!(last.inferences > 0);
-        assert!(last.inferences >= last.executions);
-    }
-
-    #[test]
-    fn time_budget_truncates_campaign() {
-        let (k, _, corpus, stream) = setup();
-        let cfg = ExploreConfig { exec_budget: 6, ..Default::default() };
-        let cost = CostModel::default();
-        let full = run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &cost);
-        let budget = full.last().hours / 2.0;
-        let cut =
-            run_campaign_budgeted(&k, &corpus, &stream, Explorer::Pct, &cfg, &cost, Some(budget));
-        assert!(cut.history.len() < full.history.len());
-        // The budget is checked before each CTI, so at most one CTI of
-        // overshoot is possible.
-        assert!(cut.last().hours <= budget + full.last().hours / stream.len() as f64 + 1e-9);
-    }
-
-    #[test]
-    fn parallel_campaigns_match_serial() {
-        let (k, cfg_k, corpus, stream) = setup();
-        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-        let ck = Checkpoint::new(&model, 0.5, "t");
-        let ecfg = ExploreConfig { exec_budget: 4, inference_cap: 40, ..Default::default() };
-        let cost = CostModel::default();
-        let specs = vec![
-            ExplorerSpec::Pct,
-            ExplorerSpec::MlPct { checkpoint: ck.clone(), strategy: StrategyKind::S1 },
-            ExplorerSpec::MlPct { checkpoint: ck.clone(), strategy: StrategyKind::S3(2) },
-        ];
-        let par: Vec<CampaignResult> =
-            run_campaigns_parallel(&k, &cfg_k, &corpus, &stream, &specs, &ecfg, &cost)
-                .into_iter()
-                .map(|r| r.expect("no faults injected"))
-                .collect();
-        // Serial reference.
-        let serial_pct = run_campaign(&k, &corpus, &stream, Explorer::Pct, &ecfg, &cost);
-        assert_eq!(par[0].history, serial_pct.history);
-        let pic = Pic::new(&ck, &k, &cfg_k);
-        let serial_s1 = run_campaign(
-            &k,
-            &corpus,
-            &stream,
-            Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
-            &ecfg,
-            &cost,
-        );
-        assert_eq!(par[1].history, serial_s1.history);
-        assert_eq!(par[2].label, "MLPCT-S3(2)");
-    }
-
-    #[test]
-    fn panicking_worker_is_contained_per_campaign() {
-        let (k, cfg_k, corpus, stream) = setup();
-        let ecfg = ExploreConfig { exec_budget: 4, ..Default::default() };
-        let cost = CostModel::default();
-        let specs = vec![
-            ExplorerSpec::Pct,
-            ExplorerSpec::Faulty {
-                reason: "injected worker fault".into(),
-                fault: Some("panic@1".into()),
-            },
-            ExplorerSpec::Pct,
-        ];
-        let par = run_campaigns_parallel(&k, &cfg_k, &corpus, &stream, &specs, &ecfg, &cost);
-        assert_eq!(par.len(), 3);
-        // The healthy campaigns both finish and agree with a serial run.
-        let serial = run_campaign(&k, &corpus, &stream, Explorer::Pct, &ecfg, &cost);
-        assert_eq!(par[0].as_ref().unwrap().history, serial.history);
-        assert_eq!(par[2].as_ref().unwrap().history, serial.history);
-        // The faulty one surfaces as a typed error naming its label and
-        // carrying the panic payload.
-        match &par[1] {
-            Err(SnowcatError::CampaignFailed { label, message, fault }) => {
-                assert_eq!(label, "FAULTY");
-                assert_eq!(message, "injected worker fault");
-                assert_eq!(fault.as_deref(), Some("panic@1"));
-            }
-            other => panic!("expected CampaignFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn hours_to_races_finds_first_crossing() {
-        let (k, _, corpus, stream) = setup();
-        let cfg = ExploreConfig { exec_budget: 6, ..Default::default() };
-        let res = run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &CostModel::default());
-        let total = res.last().races;
-        if total > 0 {
-            let h = res.hours_to_races(1).expect("some point reached 1 race");
-            assert!(h > 0.0);
-            assert!(res.hours_to_races(total + 1).is_none());
+    fn strategy_kind_parses_cli_names_and_labels_like_the_explorer() {
+        assert_eq!(StrategyKind::parse("s1"), Some(StrategyKind::S1));
+        assert_eq!(StrategyKind::parse("s2"), Some(StrategyKind::S2));
+        assert_eq!(StrategyKind::parse("s3"), Some(StrategyKind::S3(2)));
+        assert_eq!(StrategyKind::parse("pct"), None);
+        assert_eq!(StrategyKind::parse("S1"), None);
+        for kind in [StrategyKind::S1, StrategyKind::S2, StrategyKind::S3(2), StrategyKind::S3(7)] {
+            assert_eq!(kind.label(), format!("MLPCT-{}", kind.build().name()));
         }
     }
 }

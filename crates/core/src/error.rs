@@ -15,13 +15,13 @@ use std::path::{Path, PathBuf};
 
 /// Magic of the Snowcat Model Checkpoint envelope (binary, bit-exact).
 pub const MODEL_MAGIC: &[u8; 4] = b"SCMC";
-/// Current model-checkpoint envelope version. v2 adds the static-channel
+/// Current model-checkpoint envelope version. v2 added the static-channel
 /// fields (`static_channels` in the config, the `w_static` tensor between
-/// the output head and the flow head); v1 checkpoints still load as
-/// channel-free models via [`MIN_MODEL_VERSION`] routing.
+/// the output head and the flow head).
 pub const MODEL_VERSION: u16 = 2;
-/// Oldest model-checkpoint envelope version still readable.
-pub const MIN_MODEL_VERSION: u16 = 1;
+/// Oldest model-checkpoint envelope version still readable: the v1 layout
+/// is no longer decoded, so a v1 frame is rejected as corrupt.
+pub const MIN_MODEL_VERSION: u16 = 2;
 
 /// Unified error for checkpoint/dataset load and save paths.
 #[derive(Debug)]
@@ -57,16 +57,6 @@ pub enum SnowcatError {
         path: PathBuf,
         /// What the integrity check objected to.
         detail: String,
-    },
-    /// A campaign worker panicked; the other campaigns' results survive.
-    CampaignFailed {
-        /// Label of the failed campaign (explorer name).
-        label: String,
-        /// The panic payload, if it was a string.
-        message: String,
-        /// The fault-plan entry that triggered the panic (e.g. `panic@1`),
-        /// when the failure came from deliberate fault injection.
-        fault: Option<String>,
     },
     /// The predictor chain degraded to the baseline fallback (reported when
     /// the caller asked degradation to be fatal via `--fail-on-degraded`).
@@ -161,13 +151,6 @@ impl fmt::Display for SnowcatError {
             SnowcatError::CheckpointCorrupt { path, detail } => {
                 write!(f, "{}: checkpoint corrupt: {detail}", path.display())
             }
-            SnowcatError::CampaignFailed { label, message, fault } => {
-                write!(f, "campaign '{label}' failed: worker panicked: {message}")?;
-                if let Some(entry) = fault {
-                    write!(f, " [injected by fault-plan entry '{entry}']")?;
-                }
-                Ok(())
-            }
             SnowcatError::PredictorDegraded { chain, degraded_batches } => {
                 write!(
                     f,
@@ -218,13 +201,14 @@ impl fmt::Display for SnowcatError {
 impl SnowcatError {
     /// Stable, documented process exit code for each failure class (the CLI
     /// maps errors through this so scripts can distinguish fault kinds).
+    /// Code 5 is retired (it belonged to a removed parallel-runner error)
+    /// and is not reused.
     pub fn exit_code(&self) -> i32 {
         match self {
             SnowcatError::Io { .. } | SnowcatError::Parse { .. } => 1,
             SnowcatError::Config(_) | SnowcatError::FaultPlan { .. } => 2,
             SnowcatError::ExecutionHung { .. } => 3,
             SnowcatError::CheckpointCorrupt { .. } => 4,
-            SnowcatError::CampaignFailed { .. } => 5,
             SnowcatError::PredictorDegraded { .. } => 6,
             SnowcatError::TrainingDiverged { .. } => 7,
             SnowcatError::FleetFailed { .. }
@@ -257,19 +241,15 @@ pub fn decode_model_checkpoint_framed(
 ) -> Result<Checkpoint, SnowcatError> {
     let corrupt =
         |detail: String| SnowcatError::CheckpointCorrupt { path: path.to_owned(), detail };
-    let (version, payload) = unframe_checksummed(
+    let (_, payload) = unframe_checksummed(
         MODEL_MAGIC,
         MIN_MODEL_VERSION,
         MODEL_VERSION,
         bytes::Bytes::from(bytes.to_vec()),
     )
     .map_err(|e| corrupt(e.to_string()))?;
-    let decoded = if version >= 2 {
-        snowcat_nn::decode_model_checkpoint(payload.as_slice())
-    } else {
-        snowcat_nn::decode_model_checkpoint_legacy(payload.as_slice())
-    };
-    decoded.map_err(|e| corrupt(format!("payload is not a model checkpoint: {e}")))
+    snowcat_nn::decode_model_checkpoint(payload.as_slice())
+        .map_err(|e| corrupt(format!("payload is not a model checkpoint: {e}")))
 }
 
 /// Load a PIC checkpoint: the binary SCMC format, or legacy JSON (sniffed
@@ -409,13 +389,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_model_checkpoints_still_load_as_channel_free_models() {
+    fn v1_model_checkpoints_are_rejected_as_corrupt() {
         use snowcat_corpus::frame_checksummed;
         let dir = std::env::temp_dir().join("snowcat-error-tests-scmc-v1");
         std::fs::create_dir_all(&dir).unwrap();
-        // Re-create the v1 payload byte-for-byte: the legacy config layout
-        // (no static_channels) followed by the legacy parameter layout (no
-        // w_static), framed with version 1.
+        // Re-create a v1 payload byte-for-byte: the v1 config layout (no
+        // static_channels) followed by the v1 parameter layout (no
+        // w_static), framed with version 1. The v1 decoder is gone, so the
+        // envelope's version check rejects it before the payload is read.
         let model = PicModel::new(PicConfig {
             hidden: 4,
             layers: 1,
@@ -458,11 +439,13 @@ mod tests {
         let framed = frame_checksummed(MODEL_MAGIC, 1, &e.finish());
         let path = dir.join("v1.scmc");
         std::fs::write(&path, framed.as_slice()).unwrap();
-        let back = load_checkpoint(&path).unwrap();
-        assert_eq!(back.cfg.static_channels, 0);
-        assert_eq!(back.cfg.hidden, ck.cfg.hidden);
-        assert_eq!(back.params.w_flow, ck.params.w_flow);
-        assert_eq!(back.name, "v1");
+        match load_checkpoint(&path) {
+            Err(err @ SnowcatError::CheckpointCorrupt { .. }) => {
+                assert_eq!(err.exit_code(), 4);
+                assert!(err.to_string().contains("v1.scmc"), "error names the path: {err}");
+            }
+            other => panic!("a v1 frame must be rejected as corrupt, got {other:?}"),
+        }
     }
 
     #[test]

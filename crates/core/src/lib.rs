@@ -6,8 +6,9 @@
 //! * [`strategy`] — CT-candidate selection strategies S1/S2/S3 (§3.3),
 //! * [`mlpct`] — per-CTI interleaving exploration: PCT baseline vs MLPCT
 //!   (§5.3.1),
-//! * [`campaign`] — cumulative campaigns over CTI streams with simulated
-//!   time accounting (Figure 5),
+//! * [`campaign`] — the explorer choice and the result shape of a
+//!   cumulative campaign (Figure 5); the loop itself is
+//!   `snowcat_harness::run_supervised_campaign`,
 //! * [`razzer`] — directed race reproduction: Razzer / Razzer-Relax /
 //!   Razzer-PIC (§5.6.1, Table 4),
 //! * [`prefilter`] — sound static may-race pre-filter that vetoes and
@@ -40,11 +41,7 @@ pub mod snowboard;
 pub mod strategy;
 pub mod triage;
 
-pub use campaign::{
-    run_campaign, run_campaign_budgeted, run_campaigns_parallel, run_campaigns_parallel_budgeted,
-    run_campaigns_parallel_instrumented, CampaignResult, Explorer, ExplorerSpec, HistoryPoint,
-    StrategyKind,
-};
+pub use campaign::{CampaignResult, Explorer, HistoryPoint, StrategyKind};
 pub use costmodel::{filter_economics, simulate_filter, CostModel, FilterEconomics};
 pub use error::{
     decode_dataset_auto, decode_model_checkpoint_framed, encode_model_checkpoint_framed,

@@ -60,11 +60,13 @@ pub enum CampaignEvent {
     /// scoring (`survivors`), plus the may-race pair count of the filter in
     /// use and whether it was the alias-refined set.
     PrefilterStats { vetoed: u64, survivors: u64, may_race_pairs: u64, refined: bool },
-    /// A fault-plan entry fired (e.g. `hang@3`, `ckpt@2:flip`, `panic@1`).
+    /// A fault-plan entry fired (e.g. `hang@3`, `ckpt@2:flip`).
     FaultInjected { entry: String, position: u64 },
-    /// A parallel campaign worker began running.
+    /// A parallel campaign worker began running. No longer emitted (the
+    /// in-process parallel runner is gone); kept so existing streams decode.
     WorkerStarted { slot: u64, label: String },
-    /// A parallel campaign worker finished; `fault` names the fault-plan
+    /// A parallel campaign worker finished (no longer emitted; kept so
+    /// existing streams decode); `fault` names the fault-plan
     /// entry that fired if the worker panicked under injection, and
     /// `elapsed_us` is the worker's wall-clock from spawn to exit (so
     /// fleet lease deadlines can be tuned from observed time-to-failure).

@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] describes, reproducibly, which faults to inject where:
 //! executor hangs at chosen stream positions, predictor failures at a fixed
-//! batch cadence, checkpoint corruption at chosen write ordinals, and worker
-//! panics for parallel campaign runs. Plans parse from a compact spec string
-//! so the CLI can take them on the command line (`--fault-plan
-//! "hang@3x2,pred@5,ckpt@2:flip"`), and an empty plan injects nothing — the
-//! supervised path must then be bit-identical to the unsupervised one.
+//! batch cadence, and checkpoint corruption at chosen write ordinals. Plans
+//! parse from a compact spec string so the CLI can take them on the command
+//! line (`--fault-plan "hang@3x2,pred@5,ckpt@2:flip"`), and an empty plan
+//! injects nothing — the supervised campaign is then the plain paper
+//! campaign.
 //!
 //! Fleet runs extend the grammar with per-worker faults interpreted by the
 //! [`crate::fleet`] coordinator: `kill-worker@K` (worker K dies after its
@@ -55,9 +55,6 @@ pub struct FaultPlan {
     pub predictor_period: Option<u64>,
     /// Checkpoint-corruption faults by write ordinal.
     pub checkpoints: Vec<CheckpointFault>,
-    /// Campaign indices whose parallel worker panics (used with
-    /// `ExplorerSpec::Faulty` by callers of `run_campaigns_parallel`).
-    pub worker_panics: Vec<usize>,
     /// Fleet worker slots that die right after their first shard checkpoint.
     pub kill_workers: Vec<usize>,
     /// Fleet worker slots that go silent (stop heartbeating) after their
@@ -78,7 +75,6 @@ impl FaultPlan {
         self.hangs.is_empty()
             && self.predictor_period.is_none()
             && self.checkpoints.is_empty()
-            && self.worker_panics.is_empty()
             && self.kill_workers.is_empty()
             && self.stall_workers.is_empty()
             && self.corrupt_worker_ckpts.is_empty()
@@ -101,7 +97,6 @@ impl FaultPlan {
     ///   stream position I,
     /// * `pred@N` — panic every Nth predictor batch (N ≥ 1),
     /// * `ckpt@K:flip` / `ckpt@K:trunc` — corrupt the Kth checkpoint write,
-    /// * `panic@I` — panic the parallel campaign worker at spec index I,
     /// * `kill-worker@K` — kill fleet worker K after its first shard
     ///   checkpoint,
     /// * `stall-worker@K` — fleet worker K stops heartbeating after its
@@ -162,10 +157,6 @@ impl FaultPlan {
                         other => return Err(bad(token, format!("unknown corruption '{other}'"))),
                     };
                     plan.checkpoints.push(CheckpointFault { ordinal, kind });
-                }
-                "panic" => {
-                    let i = rest.parse::<usize>().map_err(|_| bad(token, bad_num(rest)))?;
-                    plan.worker_panics.push(i);
                 }
                 "kill-worker" => {
                     let i = rest.parse::<usize>().map_err(|_| bad(token, bad_num(rest)))?;
@@ -308,7 +299,7 @@ mod tests {
     #[test]
     fn full_grammar_parses() {
         let plan = FaultPlan::parse(
-            "hang@3x2,hang@7,pred@5,ckpt@2:flip,ckpt@4:trunc,panic@1,\
+            "hang@3x2,hang@7,pred@5,ckpt@2:flip,ckpt@4:trunc,\
              kill-worker@1,stall-worker@2,corrupt-worker-ckpt@0,poison-shard@3",
         )
         .unwrap();
@@ -319,7 +310,6 @@ mod tests {
         assert_eq!(plan.checkpoint_fault(2), Some(CorruptionKind::Flip));
         assert_eq!(plan.checkpoint_fault(4), Some(CorruptionKind::Truncate));
         assert_eq!(plan.checkpoint_fault(1), None);
-        assert_eq!(plan.worker_panics, vec![1]);
         assert_eq!(plan.kill_workers, vec![1]);
         assert_eq!(plan.stall_workers, vec![2]);
         assert_eq!(plan.corrupt_worker_ckpts, vec![0]);
@@ -347,6 +337,7 @@ mod tests {
             ("corrupt-worker-ckpt@-1", "corrupt-worker-ckpt@-1", "not a valid number"),
             ("poison-shard@", "poison-shard@", "not a valid number"),
             ("poison-worker@1", "poison-worker@1", "unknown fault kind 'poison-worker'"),
+            ("panic@1", "panic@1", "unknown fault kind 'panic'"),
         ];
         for &(spec, token, fragment) in table {
             match FaultPlan::parse(spec) {

@@ -12,9 +12,9 @@
 //! * [`resilient`] — a predictor wrapper that degrades to a cheap baseline
 //!   instead of aborting,
 //! * [`fault`] — deterministic fault injection to prove the recovery paths,
-//! * [`supervisor`] — the loop tying them together: retry hung schedules
-//!   with fresh seeds, quarantine repeat offenders, checkpoint periodically,
-//!   resume exactly,
+//! * [`supervisor`] — the campaign loop itself, with these pieces as hooks:
+//!   retry hung schedules with fresh seeds, quarantine repeat offenders,
+//!   checkpoint periodically, resume exactly,
 //! * [`trainer`] — the same discipline for training: epoch-granular
 //!   bit-exact checkpoints (STCP), anomaly guards with rollback and salted
 //!   retries, and shard-quarantining data loading,
@@ -28,10 +28,10 @@
 //!   respawn backoff, a crash-loop breaker, kill-on-drop orphan reaping,
 //!   and graceful degradation below a `--min-workers` floor.
 //!
-//! The supervised loop is bit-identical to the plain
-//! [`snowcat_core::run_campaign_budgeted`] when no faults are injected and
-//! no fuel override is set — robustness costs nothing on the happy path.
-//! Likewise, [`trainer::robust_train`] with an empty fault plan is
+//! [`run_supervised_campaign`] is the only campaign loop in the tree: with
+//! [`SupervisorConfig::new()`] (no faults injected, no fuel override, no
+//! checkpointing) it is the plain paper campaign, so robustness costs
+//! nothing on the happy path. Likewise, [`trainer::robust_train`] with an empty fault plan is
 //! bit-identical to [`snowcat_nn::train`].
 
 #![forbid(unsafe_code)]

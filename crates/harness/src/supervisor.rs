@@ -1,11 +1,12 @@
-//! The campaign supervisor: a fault-tolerant drop-in for
-//! `snowcat_core::run_campaign_budgeted`.
+//! The campaign loop (Figure 5), with its robustness hooks.
 //!
-//! The supervised loop replicates the unsupervised one exactly — same
-//! positional per-CTI seed derivation, same time-budget check, same
-//! accumulation order — so with an empty [`FaultPlan`] and the default fuel
-//! budget the results are bit-identical. On top of that it adds the four
-//! robustness pillars:
+//! [`run_supervised_campaign`] is the only per-CTI campaign loop in the
+//! tree. It feeds a CTI stream to PCT or MLPCT, gives each CTI the
+//! exploration config's budget with a positionally derived seed, stops at
+//! the optional simulated-time budget, and accumulates races, blocks and
+//! bugs against simulated hours. With [`SupervisorConfig::new()`] (no
+//! checkpointing, no fault plan, default fuel) it is the plain paper
+//! campaign; the robustness pillars below are hooks on the same loop:
 //!
 //! 1. **watchdog execution** — every attempt runs under a fuel budget; an
 //!    attempt whose executions *all* hang is retried with a different seed
@@ -39,16 +40,18 @@ use snowcat_vm::BitSet;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-/// Per-CTI seed derivation — identical to `run_campaign_budgeted`.
+/// Per-CTI seed derivation: position `ci` explores with
+/// `seed ^ ci * SEED_GOLDEN`, decorrelating schedule proposals across CTIs.
 const SEED_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Retry salt: decorrelates retry seeds from the positional stream.
 const RETRY_SALT: u64 = 0xD1B5_4A32_D192_ED03;
 /// Starvation fuel used for injected hang faults.
 const INJECTED_HANG_FUEL: u64 = 1;
 
-/// Supervisor knobs. `Default` is maximally transparent: no checkpointing,
-/// no fault plan, fuel from the exploration config, 2 retries.
-#[derive(Debug, Clone, Default)]
+/// Supervisor knobs. The default ([`SupervisorConfig::new`]) is the plain
+/// paper campaign: no checkpointing, no fault plan, fuel from the
+/// exploration config, 2 retries.
+#[derive(Debug, Clone)]
 pub struct SupervisorConfig {
     /// Fuel (VM step) budget per execution; `None` inherits
     /// [`ExploreConfig::fuel_budget`].
@@ -60,7 +63,8 @@ pub struct SupervisorConfig {
     pub checkpoint_path: Option<PathBuf>,
     /// Write a checkpoint every N processed stream positions (min 1).
     pub checkpoint_every: usize,
-    /// Simulated-time budget in hours, as in `run_campaign_budgeted`.
+    /// Simulated-time budget in hours (the Figure-5 budget): checked before
+    /// each CTI, so a cheap explorer gets through more of the stream.
     pub max_hours: Option<f64>,
     /// Stop after processing this many stream positions *this run* (a
     /// checkpoint is written first if checkpointing is on) — the in-process
@@ -94,10 +98,30 @@ pub struct SupervisorConfig {
     pub lease: Option<crate::fleet::LeaseSignal>,
 }
 
+impl Default for SupervisorConfig {
+    fn default() -> Self {
+        Self {
+            fuel_budget: None,
+            max_retries: 2,
+            checkpoint_path: None,
+            checkpoint_every: 25,
+            max_hours: None,
+            stop_after: None,
+            stall_ms: 0,
+            fault_plan: FaultPlan::default(),
+            events: None,
+            fresh_cts: None,
+            position_offset: 0,
+            seed_salt: 0,
+            lease: None,
+        }
+    }
+}
+
 impl SupervisorConfig {
-    /// Transparent supervision with 2 retries and no checkpointing.
+    /// The plain paper campaign: 2 retries and no checkpointing.
     pub fn new() -> Self {
-        Self { max_retries: 2, checkpoint_every: 25, ..Default::default() }
+        Self::default()
     }
 }
 
@@ -557,4 +581,109 @@ fn write_checkpoint(
         });
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use snowcat_cfg::KernelCfg;
+    use snowcat_core::{Pic, S1NewBitmap};
+    use snowcat_corpus::{random_cti_pairs, StiFuzzer};
+    use snowcat_kernel::{generate, GenConfig};
+    use snowcat_nn::{Checkpoint, PicConfig, PicModel};
+
+    fn setup() -> (Kernel, KernelCfg, Vec<StiProfile>, Vec<(usize, usize)>) {
+        let k = generate(&GenConfig::default());
+        let cfg = KernelCfg::build(&k);
+        let mut fz = StiFuzzer::new(&k, 1);
+        fz.seed_each_syscall();
+        let corpus = fz.into_corpus();
+        let mut rng = ChaCha8Rng::seed_from_u64(5);
+        let stream = random_cti_pairs(&mut rng, corpus.len(), 5);
+        (k, cfg, corpus, stream)
+    }
+
+    /// The plain paper campaign, optionally time-budgeted.
+    fn run_campaign(
+        kernel: &Kernel,
+        corpus: &[StiProfile],
+        stream: &[(usize, usize)],
+        explorer: Explorer<'_, '_>,
+        explore_cfg: &ExploreConfig,
+        cost: &CostModel,
+        max_hours: Option<f64>,
+    ) -> CampaignResult {
+        let sup = SupervisorConfig { max_hours, ..SupervisorConfig::new() };
+        run_supervised_campaign(kernel, corpus, stream, explorer, explore_cfg, cost, &sup, None)
+            .expect("no checkpointing, so nothing can fail")
+            .result
+    }
+
+    #[test]
+    fn pct_campaign_accumulates_monotonically() {
+        let (k, _, corpus, stream) = setup();
+        let cfg = ExploreConfig::default().with_exec_budget(6);
+        let res =
+            run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &CostModel::default(), None);
+        assert_eq!(res.label, "PCT");
+        assert_eq!(res.history.len(), stream.len());
+        for w in res.history.windows(2) {
+            assert!(w[1].races >= w[0].races);
+            assert!(w[1].sched_dep_blocks >= w[0].sched_dep_blocks);
+            assert!(w[1].hours >= w[0].hours);
+            assert!(w[1].bugs >= w[0].bugs);
+        }
+    }
+
+    #[test]
+    fn mlpct_campaign_counts_inferences() {
+        let (k, cfg_k, corpus, stream) = setup();
+        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
+        let ck = Checkpoint::new(&model, 0.5, "t");
+        let pic = Pic::new(&ck, &k, &cfg_k);
+        let cfg = ExploreConfig::default().with_exec_budget(4).with_inference_cap(40);
+        let res = run_campaign(
+            &k,
+            &corpus,
+            &stream,
+            Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
+            &cfg,
+            &CostModel::default(),
+            None,
+        );
+        assert_eq!(res.label, "MLPCT-S1");
+        let last = res.last();
+        assert!(last.inferences > 0);
+        assert!(last.inferences >= last.executions);
+    }
+
+    #[test]
+    fn time_budget_truncates_campaign() {
+        let (k, _, corpus, stream) = setup();
+        let cfg = ExploreConfig::default().with_exec_budget(6);
+        let cost = CostModel::default();
+        let full = run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &cost, None);
+        let budget = full.last().hours / 2.0;
+        let cut = run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &cost, Some(budget));
+        assert!(cut.history.len() < full.history.len());
+        // The budget is checked before each CTI, so at most one CTI of
+        // overshoot is possible.
+        assert!(cut.last().hours <= budget + full.last().hours / stream.len() as f64 + 1e-9);
+    }
+
+    #[test]
+    fn hours_to_races_finds_first_crossing() {
+        let (k, _, corpus, stream) = setup();
+        let cfg = ExploreConfig::default().with_exec_budget(6);
+        let res =
+            run_campaign(&k, &corpus, &stream, Explorer::Pct, &cfg, &CostModel::default(), None);
+        let total = res.last().races;
+        if total > 0 {
+            let h = res.hours_to_races(1).expect("some point reached 1 race");
+            assert!(h > 0.0);
+            assert!(res.hours_to_races(total + 1).is_none());
+        }
+    }
 }

@@ -240,16 +240,8 @@ pub fn put_pic_config(e: &mut Enc, cfg: &PicConfig) {
     e.put_u32(cfg.static_channels as u32);
 }
 
-/// Decode model hyperparameters (current layout).
+/// Decode model hyperparameters written by [`put_pic_config`].
 pub fn take_pic_config(d: &mut Dec<'_>) -> Result<PicConfig, BinError> {
-    let mut cfg = take_pic_config_legacy(d)?;
-    cfg.static_channels = d.take_u32()? as usize;
-    Ok(cfg)
-}
-
-/// Decode the pre-static-channel (SCMC v1) hyperparameter layout: no
-/// `static_channels` field — the decoded model is channel-free.
-pub fn take_pic_config_legacy(d: &mut Dec<'_>) -> Result<PicConfig, BinError> {
     Ok(PicConfig {
         hidden: d.take_u32()? as usize,
         layers: d.take_u32()? as usize,
@@ -258,7 +250,7 @@ pub fn take_pic_config_legacy(d: &mut Dec<'_>) -> Result<PicConfig, BinError> {
         urb_weight: d.take_f32()?,
         flow_weight: d.take_f32()?,
         seed: d.take_u64()?,
-        static_channels: 0,
+        static_channels: d.take_u32()? as usize,
     })
 }
 
@@ -287,16 +279,6 @@ pub fn put_params(e: &mut Enc, p: &PicParams) {
 
 /// Decode a parameter set written by [`put_params`].
 pub fn take_params(d: &mut Dec<'_>) -> Result<PicParams, BinError> {
-    take_params_at(d, true)
-}
-
-/// Decode the pre-static-channel (SCMC v1) parameter layout: no `w_static`
-/// tensor between the output head and the flow head.
-pub fn take_params_legacy(d: &mut Dec<'_>) -> Result<PicParams, BinError> {
-    take_params_at(d, false)
-}
-
-fn take_params_at(d: &mut Dec<'_>, has_static: bool) -> Result<PicParams, BinError> {
     let tok_emb = d.take_mat()?;
     let type_emb = d.take_mat()?;
     let sched_emb = d.take_mat()?;
@@ -320,7 +302,7 @@ fn take_params_at(d: &mut Dec<'_>, has_static: bool) -> Result<PicParams, BinErr
         layers,
         w_out: d.take_mat()?,
         b_out: d.take_mat()?,
-        w_static: if has_static { d.take_mat()? } else { Mat::default() },
+        w_static: d.take_mat()?,
         w_flow: d.take_mat()?,
         b_flow: d.take_mat()?,
     })
@@ -384,19 +366,6 @@ pub fn decode_model_checkpoint(bytes: &[u8]) -> Result<Checkpoint, BinError> {
     Ok(Checkpoint { cfg, params, threshold, name })
 }
 
-/// Decode a pre-static-channel (SCMC v1) checkpoint payload. The result is
-/// a channel-free model (`static_channels = 0`, empty `w_static`) whose
-/// forward pass is bit-identical to what the old decoder produced.
-pub fn decode_model_checkpoint_legacy(bytes: &[u8]) -> Result<Checkpoint, BinError> {
-    let mut d = Dec::new(bytes);
-    let cfg = take_pic_config_legacy(&mut d)?;
-    let params = take_params_legacy(&mut d)?;
-    let threshold = d.take_f32()?;
-    let name = d.take_str()?;
-    d.expect_end()?;
-    Ok(Checkpoint { cfg, params, threshold, name })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,10 +410,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_payloads_decode_to_channel_free_models() {
-        // Hand-encode the exact pre-static-channel layout (no
-        // static_channels field, no w_static tensor) and decode it through
-        // the legacy path.
+    fn v1_payloads_are_rejected() {
+        // Hand-encode the exact pre-static-channel (v1) layout (no
+        // static_channels field, no w_static tensor): the decoder reads the
+        // current layout only, so the v1 payload is a typed error.
         let cfg = PicConfig { hidden: 5, layers: 1, static_channels: 0, ..Default::default() };
         let model = PicModel::new(cfg);
         let ck = Checkpoint::new(&model, 0.4, "legacy");
@@ -476,15 +445,8 @@ mod tests {
         e.put_mat(&ck.params.b_flow);
         e.put_f32(ck.threshold);
         e.put_str(&ck.name);
-        let legacy_bytes = e.finish();
-        let back = decode_model_checkpoint_legacy(&legacy_bytes).unwrap();
-        assert_eq!(back.cfg.static_channels, 0);
-        assert_eq!(back.params.w_static, Mat::default());
-        assert_eq!(back.params.w_flow, ck.params.w_flow);
-        assert_eq!(back.threshold, ck.threshold);
-        // The current decoder must reject the old layout (version routing
-        // in snowcat-core picks the right one from the SCMC frame).
-        assert!(decode_model_checkpoint(&legacy_bytes).is_err());
+        let v1_bytes = e.finish();
+        assert!(decode_model_checkpoint(&v1_bytes).is_err());
     }
 
     #[test]

@@ -35,10 +35,7 @@ pub mod tensor;
 pub mod train;
 
 pub use asmenc::{pretrain, PretrainConfig, PretrainReport};
-pub use binser::{
-    decode_model_checkpoint, decode_model_checkpoint_legacy, encode_model_checkpoint, BinError,
-    Dec, Enc,
-};
+pub use binser::{decode_model_checkpoint, encode_model_checkpoint, BinError, Dec, Enc};
 pub use metrics::{average_precision, Confusion, MeanMetrics, PerGraphAverager};
 pub use model::{BaselinePredictor, PicConfig, PicModel, PicParams, PicSession};
 pub use optim::{Adam, AdamConfig, AdamSnapshot};

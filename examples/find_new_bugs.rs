@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example find_new_bugs`
 
 use snowcat::core::{
-    run_campaign, train_pic, CostModel, ExploreConfig, Explorer, Pic, PipelineConfig, S1NewBitmap,
+    train_pic, CampaignResult, CostModel, ExploreConfig, Explorer, Pic, PipelineConfig, S1NewBitmap,
 };
 use snowcat::prelude::*;
 
@@ -56,17 +56,16 @@ fn main() {
     let explore =
         ExploreConfig::default().with_exec_budget(30).with_inference_cap(400).with_seed(0xF00D);
     let cost = CostModel::default();
+    let sup = SupervisorConfig::new();
+    let campaign = |explorer: Explorer<'_, '_>| -> CampaignResult {
+        run_supervised_campaign(&kernel, &corpus, &stream, explorer, &explore, &cost, &sup, None)
+            .expect("campaign without checkpointing cannot fail")
+            .result
+    };
 
-    let pct = run_campaign(&kernel, &corpus, &stream, Explorer::Pct, &explore, &cost);
+    let pct = campaign(Explorer::Pct);
     let pic = Pic::new(&trained.checkpoint, &kernel, &cfg);
-    let mlpct = run_campaign(
-        &kernel,
-        &corpus,
-        &stream,
-        Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
-        &explore,
-        &cost,
-    );
+    let mlpct = campaign(Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())));
 
     for res in [&pct, &mlpct] {
         let last = res.last();

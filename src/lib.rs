@@ -25,6 +25,7 @@
 //! | [`graph`] | the CT graph representation (5 edge types + shortcuts) |
 //! | [`nn`] | tensors, Adam, masked pre-training, relational GNN, metrics |
 //! | [`core`] | PIC predictor, strategies S1–S3, MLPCT, Razzer-PIC, SB-PIC |
+//! | [`harness`] | the campaign loop: supervision, checkpoints, fleet |
 //!
 //! ## Quickstart
 //!
@@ -60,6 +61,7 @@ pub use snowcat_cfg as cfg;
 pub use snowcat_core as core;
 pub use snowcat_corpus as corpus;
 pub use snowcat_graph as graph;
+pub use snowcat_harness as harness;
 pub use snowcat_kernel as kernel;
 pub use snowcat_nn as nn;
 pub use snowcat_race as race;
@@ -70,7 +72,7 @@ pub mod prelude {
     pub use snowcat_analysis::{analyze, Allowlist, MayRace, StaticFinding};
     pub use snowcat_cfg::KernelCfg;
     pub use snowcat_core::{
-        explore_mlpct, explore_pct, fine_tune, run_campaign, train_pic, CachedPredictor, CostModel,
+        explore_mlpct, explore_pct, fine_tune, train_pic, CachedPredictor, CostModel,
         CoveragePredictor, ExploreConfig, Explorer, ParallelPredictor, Pic, PipelineConfig,
         PredictorService, RazzerMode, S1NewBitmap, S2NewBlocks, S3LimitedTrials, Sampler,
         SelectionStrategy, SnowcatError,
@@ -79,6 +81,7 @@ pub mod prelude {
         build_dataset, make_splits, random_cti_pairs, Dataset, DatasetConfig, StiFuzzer, StiProfile,
     };
     pub use snowcat_graph::{CtGraph, CtGraphBuilder, EdgeKind, VertKind};
+    pub use snowcat_harness::{run_supervised_campaign, SupervisorConfig};
     pub use snowcat_kernel::{
         generate, BugKind, GenConfig, Kernel, KernelVersion, SyscallId, ThreadId,
     };

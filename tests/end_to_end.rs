@@ -2,9 +2,8 @@
 //! fuzz → datasets → train → deploy → MLPCT exploration → campaign.
 
 use snowcat::core::{
-    explore_mlpct, explore_pct, load_checkpoint, run_campaign, save_checkpoint, train_pic,
-    CostModel, CoveragePredictor, ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService,
-    S1NewBitmap,
+    explore_mlpct, explore_pct, load_checkpoint, save_checkpoint, train_pic, CostModel,
+    CoveragePredictor, ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService, S1NewBitmap,
 };
 use snowcat::nn::Checkpoint;
 use snowcat::prelude::*;
@@ -64,14 +63,18 @@ fn campaign_histories_are_reproducible() {
 
     let run = |ck: &Checkpoint| {
         let pic = Pic::new(ck, &kernel, &cfg);
-        run_campaign(
+        run_supervised_campaign(
             &kernel,
             &out.corpus,
             &stream,
             Explorer::mlpct(&pic, Box::new(S1NewBitmap::new())),
             &explore,
             &cost,
+            &SupervisorConfig::new(),
+            None,
         )
+        .unwrap()
+        .result
     };
     let r1 = run(&out.checkpoint);
     let r2 = run(&out.checkpoint);
