@@ -73,10 +73,14 @@ impl Args {
 
     /// Typed option with a default.
     pub fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|_| ArgError::BadValue(key.to_string(), v.to_string())),
-        }
+        Ok(self.get_parse_opt(key)?.unwrap_or(default))
+    }
+
+    /// Typed option without a default: `None` when absent.
+    pub fn get_parse_opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, ArgError> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| ArgError::BadValue(key.to_string(), v.to_string())))
+            .transpose()
     }
 
     /// Boolean flag presence.

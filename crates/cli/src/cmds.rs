@@ -1,6 +1,6 @@
 //! Implementations of the `snowcat` subcommands.
 
-use crate::args::Args;
+use crate::args::{ArgError, Args};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_analysis::{analyze as run_analysis, Allowlist, Severity};
@@ -11,7 +11,7 @@ use snowcat_core::{
     CoveragePredictor, ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService,
     RacePrefilter, RazzerMode, S1NewBitmap, SnowcatError, StrategyKind,
 };
-use snowcat_corpus::{build_dataset, interacting_cti_pairs, DatasetConfig, StiFuzzer};
+use snowcat_corpus::{build_dataset, interacting_cti_pairs, DatasetConfig, StiFuzzer, StiProfile};
 use snowcat_events::{
     read_stream, validate_trace, CampaignEvent, Event, EventSink, EventWriter, FleetEvent,
     ServeEvent, TrainEvent, EVENTS_FILE, TRACE_FILE,
@@ -352,9 +352,7 @@ pub fn train(args: &Args) -> CmdResult {
     let mut rcfg = RobustTrainConfig::new(pcfg.train);
     rcfg.checkpoint_path = args.get("checkpoint").map(std::path::PathBuf::from);
     rcfg.checkpoint_every = args.get_parse("checkpoint-every", 1usize)?;
-    if let Some(p) = args.get("patience") {
-        rcfg.patience = Some(p.parse().map_err(|_| format!("--patience: cannot parse {p:?}"))?);
-    }
+    rcfg.patience = args.get_parse_opt("patience")?.or(rcfg.patience);
     rcfg.stall_ms = args.get_parse("stall-ms", 0u64)?;
     rcfg.fault_plan = fault_plan;
     rcfg.events = sink;
@@ -452,19 +450,10 @@ pub fn explore(args: &Args) -> CmdResult {
     let k = build_kernel(args)?;
     let cfg = KernelCfg::build(&k);
     let ck = load_model(args)?;
-    let seed = args.get_parse("seed", DEFAULT_SEED)?;
-    let n_ctis = args.get_parse("ctis", 20usize)?;
-    let budget = args.get_parse("budget", 50usize)?;
-
-    let mut fz = StiFuzzer::new(&k, seed);
-    fz.seed_each_syscall();
-    fz.fuzz(100);
-    let corpus = fz.into_corpus();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xE0);
-    let ctis = interacting_cti_pairs(&mut rng, &corpus, n_ctis);
-
-    let explore_cfg =
-        ExploreConfig::default().with_exec_budget(budget).with_inference_cap(1600).with_seed(seed);
+    let CampaignSetup { seed, corpus, stream: ctis, explore_cfg, .. } =
+        CampaignSetup::from_args(args, &k, 50)?;
+    let explore_cfg = explore_cfg.with_inference_cap(1600);
+    let budget = explore_cfg.exec_budget;
     let pic = Pic::new(&ck, &k, &cfg);
     // Memoize inference: re-proposed schedules across the CTI stream are
     // served from the cache instead of re-running the model.
@@ -598,6 +587,54 @@ pub fn razzer(args: &Args) -> CmdResult {
     Ok(())
 }
 
+/// What `campaign`, `fleet`, `fleet-worker` and `explore` share: the corpus
+/// and CTI stream, the per-CTI exploration config (`--budget` executions)
+/// and the cost model. The stream is deterministic in (version, `--seed`,
+/// `--ctis`), so a resumed run and every fleet worker — thread or
+/// subprocess — rebuild the exact stream the first run walked.
+struct CampaignSetup {
+    seed: u64,
+    corpus: Vec<StiProfile>,
+    stream: Vec<(usize, usize)>,
+    explore_cfg: ExploreConfig,
+    cost: CostModel,
+}
+
+impl CampaignSetup {
+    fn from_args(args: &Args, k: &Kernel, default_budget: usize) -> Result<Self, ArgError> {
+        let seed = args.get_parse("seed", DEFAULT_SEED)?;
+        let n_ctis = args.get_parse("ctis", 20usize)?;
+        let budget = args.get_parse("budget", default_budget)?;
+        let mut fz = StiFuzzer::new(k, seed);
+        fz.seed_each_syscall();
+        fz.fuzz(100);
+        let corpus = fz.into_corpus();
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xE0);
+        let stream = interacting_cti_pairs(&mut rng, &corpus, n_ctis);
+        Ok(CampaignSetup {
+            seed,
+            corpus,
+            stream,
+            explore_cfg: ExploreConfig::default().with_exec_budget(budget).with_seed(seed),
+            cost: CostModel::default(),
+        })
+    }
+}
+
+/// `--serve-batch/--serve-wait-us/--serve-workers`, the inference-server
+/// settings of `campaign --serve` and `fleet --serve`.
+fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
+    Ok(ServeConfig {
+        max_batch: args.get_parse("serve-batch", 16usize)?,
+        max_wait_us: args.get_parse("serve-wait-us", 200u64)?,
+        workers: args.get_parse("serve-workers", 1usize)?,
+        ..ServeConfig::default()
+    })
+}
+
+/// A per-slot explorer factory for [`ThreadWorker`].
+type MakeExplorer<'a> = &'a (dyn Fn(usize) -> Explorer<'a, 'a> + Sync);
+
 /// `snowcat campaign` — run a supervised (fault-tolerant) testing campaign.
 pub fn campaign(args: &Args) -> CmdResult {
     args.ensure_known(&[
@@ -615,7 +652,6 @@ pub fn campaign(args: &Args) -> CmdResult {
         "max-hours",
         "stall-ms",
         "stop-after",
-        "out",
         "report",
         "events",
         "fail-on-hung",
@@ -630,37 +666,16 @@ pub fn campaign(args: &Args) -> CmdResult {
         "refresh-gate",
     ])?;
     let k = build_kernel(args)?;
-    let seed = args.get_parse("seed", DEFAULT_SEED)?;
-    let n_ctis = args.get_parse("ctis", 20usize)?;
-    let budget = args.get_parse("budget", 20usize)?;
-
-    // The corpus and CTI stream are deterministic in (version, seed, ctis),
-    // so a resumed invocation regenerates the exact stream the checkpoint
-    // was written against.
-    let mut fz = StiFuzzer::new(&k, seed);
-    fz.seed_each_syscall();
-    fz.fuzz(100);
-    let corpus = fz.into_corpus();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xE0);
-    let stream = interacting_cti_pairs(&mut rng, &corpus, n_ctis);
-
-    let explore_cfg = ExploreConfig::default().with_exec_budget(budget).with_seed(seed);
-    let cost = CostModel::default();
+    let setup = CampaignSetup::from_args(args, &k, 20)?;
+    let (seed, corpus, stream) = (setup.seed, &setup.corpus, &setup.stream);
 
     let mut sup = SupervisorConfig::new();
-    if let Some(v) = args.get("fuel-budget") {
-        sup.fuel_budget =
-            Some(v.parse().map_err(|_| format!("--fuel-budget: cannot parse {v:?}"))?);
-    }
+    sup.fuel_budget = args.get_parse_opt("fuel-budget")?.or(sup.fuel_budget);
     sup.checkpoint_path = args.get("checkpoint").map(std::path::PathBuf::from);
     sup.checkpoint_every = args.get_parse("checkpoint-every", 25usize)?;
-    if let Some(v) = args.get("max-hours") {
-        sup.max_hours = Some(v.parse().map_err(|_| format!("--max-hours: cannot parse {v:?}"))?);
-    }
+    sup.max_hours = args.get_parse_opt("max-hours")?.or(sup.max_hours);
     sup.stall_ms = args.get_parse("stall-ms", 0u64)?;
-    if let Some(v) = args.get("stop-after") {
-        sup.stop_after = Some(v.parse().map_err(|_| format!("--stop-after: cannot parse {v:?}"))?);
-    }
+    sup.stop_after = args.get_parse_opt("stop-after")?.or(sup.stop_after);
     sup.fault_plan = FaultPlan::parse(&args.get_or("fault-plan", ""))?;
     // No fleet here: 0 workers rejects any fleet directive outright.
     sup.fault_plan.validate(stream.len(), 0)?;
@@ -679,53 +694,30 @@ pub fn campaign(args: &Args) -> CmdResult {
         None => None,
     };
 
-    let supervised = match explorer_kind(args)? {
-        None => {
-            if args.has_flag("serve") {
-                return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into());
-            }
+    let supervised = match (explorer_kind(args)?, args.has_flag("serve")) {
+        (None, true) => return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into()),
+        (Some(kind), true) => served_campaign(args, &k, &setup, &sup, kind, resume)?,
+        (kind, false) => {
+            let (ck, kcfg, pic);
+            let explorer = match kind {
+                None => Explorer::Pct,
+                Some(kind) => {
+                    ck = load_model(args)?;
+                    kcfg = KernelCfg::build(&k);
+                    pic = Pic::new(&ck, &k, &kcfg);
+                    Explorer::mlpct(&pic, kind.build())
+                }
+            };
             run_supervised_campaign(
                 &k,
-                &corpus,
-                &stream,
-                Explorer::Pct,
-                &explore_cfg,
-                &cost,
+                corpus,
+                stream,
+                explorer,
+                &setup.explore_cfg,
+                &setup.cost,
                 &sup,
                 resume,
             )?
-        }
-        Some(kind) => {
-            let ck = load_model(args)?;
-            let cfg = KernelCfg::build(&k);
-            if args.has_flag("serve") {
-                served_campaign(
-                    args,
-                    &k,
-                    &cfg,
-                    &corpus,
-                    &stream,
-                    &ck,
-                    &explore_cfg,
-                    &cost,
-                    &sup,
-                    kind,
-                    seed,
-                    resume,
-                )?
-            } else {
-                let pic = Pic::new(&ck, &k, &cfg);
-                run_supervised_campaign(
-                    &k,
-                    &corpus,
-                    &stream,
-                    Explorer::mlpct(&pic, kind.build()),
-                    &explore_cfg,
-                    &cost,
-                    &sup,
-                    resume,
-                )?
-            }
         }
     };
 
@@ -761,12 +753,6 @@ pub fn campaign(args: &Args) -> CmdResult {
         );
     }
 
-    if let Some(path) = args.get("out") {
-        // Legacy shape, kept for existing tooling; the unified schema is
-        // `--report` (and `snowcat status --json` over a checkpoint dir).
-        std::fs::write(path, serde_json::to_string_pretty(&supervised)?)?;
-        println!("result written to {path}");
-    }
     if let Some(path) = args.get("report") {
         let report = report_from_supervised(&supervised, seed);
         std::fs::write(path, report.to_canonical_json())?;
@@ -778,7 +764,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         if let Some(&cti) = supervised.quarantined.first() {
             return Err(Box::new(SnowcatError::ExecutionHung {
                 cti,
-                fuel: sup.fuel_budget.unwrap_or(explore_cfg.fuel_budget),
+                fuel: sup.fuel_budget.unwrap_or(setup.explore_cfg.fuel_budget),
             }));
         }
     }
@@ -798,27 +784,18 @@ pub fn campaign(args: &Args) -> CmdResult {
 /// `campaign --serve`: the same supervised MLPCT campaign, with inference
 /// routed through a live micro-batching server and (optionally) the online
 /// refresher fine-tuning on the campaign's own fresh CTs.
-#[allow(clippy::too_many_arguments)]
 fn served_campaign(
     args: &Args,
     k: &Kernel,
-    kcfg: &KernelCfg,
-    corpus: &[snowcat_corpus::StiProfile],
-    stream: &[(usize, usize)],
-    ck: &Checkpoint,
-    explore_cfg: &ExploreConfig,
-    cost: &CostModel,
+    setup: &CampaignSetup,
     sup: &SupervisorConfig,
     kind: StrategyKind,
-    seed: u64,
     resume: Option<snowcat_harness::CampaignCheckpoint>,
 ) -> Result<snowcat_harness::SupervisedResult, Box<dyn std::error::Error>> {
-    let serve = ServeConfig {
-        max_batch: args.get_parse("serve-batch", 16usize)?,
-        max_wait_us: args.get_parse("serve-wait-us", 200u64)?,
-        workers: args.get_parse("serve-workers", 1usize)?,
-        ..ServeConfig::default()
-    };
+    let ck = load_model(args)?;
+    let kcfg = KernelCfg::build(k);
+    let (seed, corpus) = (setup.seed, &setup.corpus);
+    let serve = serve_config(args)?;
     let min_pairs = args.get_parse("refresh", 0usize)?;
     let refresh = (min_pairs > 0).then_some(RefreshConfig {
         min_pairs,
@@ -838,7 +815,7 @@ fn served_campaign(
         let pairs = snowcat_corpus::random_cti_pairs(&mut rng, corpus.len(), gate_pairs);
         let ds = build_dataset(
             k,
-            kcfg,
+            &kcfg,
             corpus,
             &pairs,
             DatasetConfig { interleavings_per_cti: 2, seed: seed ^ 0x6A7E },
@@ -850,12 +827,12 @@ fn served_campaign(
 
     let outcome = run_served_campaign(
         k,
-        kcfg,
+        &kcfg,
         corpus,
-        stream,
-        ck,
-        explore_cfg,
-        cost,
+        &setup.stream,
+        &ck,
+        &setup.explore_cfg,
+        &setup.cost,
         sup,
         &gate,
         &ServedCampaignConfig { serve, strategy: kind, refresh, ..Default::default() },
@@ -883,6 +860,40 @@ fn served_campaign(
         );
     }
     Ok(outcome.result)
+}
+
+/// The options `fleet` forwards verbatim to each `fleet-worker` subprocess
+/// (plus `--dir`). The worker parses them with the same helpers and
+/// defaults as the coordinator, so it rebuilds the same kernel, stream,
+/// explorer and shard settings; the wire handshake still cross-checks
+/// (label, seed, stream_len) and refuses a mismatched worker.
+const FLEET_WORKER_OPTS: &[&str] = &[
+    "version",
+    "seed",
+    "ctis",
+    "budget",
+    "explorer",
+    "model",
+    "lease-ms",
+    "max-steals",
+    "checkpoint-every",
+    "fault-plan",
+    "stall-ms",
+];
+
+/// The shard settings shared by `fleet` and `fleet-worker`.
+fn fleet_config(
+    args: &Args,
+    workers: usize,
+    dir: &std::path::Path,
+) -> Result<FleetConfig, Box<dyn std::error::Error>> {
+    let mut cfg = FleetConfig::new(workers, dir);
+    cfg.lease_ms = args.get_parse("lease-ms", 2_000u64)?;
+    cfg.max_steals = args.get_parse("max-steals", 3u64)?;
+    cfg.checkpoint_every = args.get_parse("checkpoint-every", 25usize)?;
+    cfg.stall_ms = args.get_parse("stall-ms", 0u64)?;
+    cfg.fault_plan = FaultPlan::parse(&args.get_or("fault-plan", ""))?;
+    Ok(cfg)
 }
 
 /// `snowcat fleet` — the supervised campaign sharded across N workers with
@@ -918,9 +929,6 @@ pub fn fleet(args: &Args) -> CmdResult {
         "serve-workers",
     ])?;
     let k = build_kernel(args)?;
-    let seed = args.get_parse("seed", DEFAULT_SEED)?;
-    let n_ctis = args.get_parse("ctis", 20usize)?;
-    let budget = args.get_parse("budget", 20usize)?;
     let workers = args.get_parse("workers", 2usize)?;
     let transport = args.get_or("transport", "thread");
     if !matches!(transport.as_str(), "thread" | "process") {
@@ -930,26 +938,12 @@ pub fn fleet(args: &Args) -> CmdResult {
         args.get("dir").ok_or("fleet: --dir DIR is required (holds shard + fleet checkpoints)")?,
     );
 
-    // Corpus and stream are deterministic in (version, seed, ctis) and
-    // IDENTICAL to `snowcat campaign`'s: the fleet shards the same stream
-    // the single campaign would walk.
-    let mut fz = StiFuzzer::new(&k, seed);
-    fz.seed_each_syscall();
-    fz.fuzz(100);
-    let corpus = fz.into_corpus();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xE0);
-    let stream = interacting_cti_pairs(&mut rng, &corpus, n_ctis);
+    // The fleet shards the same stream the single campaign would walk.
+    let setup = CampaignSetup::from_args(args, &k, 20)?;
+    let (seed, stream_len) = (setup.seed, setup.stream.len());
 
-    let explore_cfg = ExploreConfig::default().with_exec_budget(budget).with_seed(seed);
-    let cost = CostModel::default();
-
-    let mut cfg = FleetConfig::new(workers, &dir);
-    cfg.lease_ms = args.get_parse("lease-ms", 2_000u64)?;
-    cfg.max_steals = args.get_parse("max-steals", 3u64)?;
-    cfg.checkpoint_every = args.get_parse("checkpoint-every", 25usize)?;
-    cfg.stall_ms = args.get_parse("stall-ms", 0u64)?;
-    cfg.fault_plan = FaultPlan::parse(&args.get_or("fault-plan", ""))?;
-    cfg.fault_plan.validate(stream.len(), workers)?;
+    let mut cfg = fleet_config(args, workers, &dir)?;
+    cfg.fault_plan.validate(stream_len, workers)?;
     cfg.min_workers = args.get_parse("min-workers", 1usize)?;
     if cfg.min_workers > workers {
         return Err(format!("--min-workers {} exceeds --workers {workers}", cfg.min_workers).into());
@@ -971,13 +965,13 @@ pub fn fleet(args: &Args) -> CmdResult {
         clear_fleet_dir(&dir)?;
     }
 
-    let explorer = args.get_or("explorer", "pct");
     // Even a failed or degraded fleet must seal its event stream — the
     // degradation and crash-loop events are exactly what a post-mortem
     // (`snowcat status DIR`) needs to see.
     let fleet_result = (|| -> Result<FleetCheckpoint, Box<dyn std::error::Error>> {
-        Ok(if transport == "process" {
-            if args.has_flag("serve") {
+        let serve = args.has_flag("serve");
+        if transport == "process" {
+            if serve {
                 return Err("--serve requires --transport thread: the in-process \
                         inference server cannot be shared across worker processes"
                     .into());
@@ -991,40 +985,12 @@ pub fn fleet(args: &Args) -> CmdResult {
                     kind.label()
                 }
             };
-            // The worker command must rebuild the exact same kernel, corpus,
-            // stream, and explorer — the wire handshake cross-checks
-            // (label, seed, stream_len) and refuses a mismatched worker.
-            let mut wargs = vec![
-                "fleet-worker".to_string(),
-                "--version".into(),
-                args.get_or("version", "5.12"),
-                "--seed".into(),
-                seed.to_string(),
-                "--ctis".into(),
-                n_ctis.to_string(),
-                "--budget".into(),
-                budget.to_string(),
-                "--explorer".into(),
-                explorer.clone(),
-                "--dir".into(),
-                dir.display().to_string(),
-                "--lease-ms".into(),
-                cfg.lease_ms.to_string(),
-                "--max-steals".into(),
-                cfg.max_steals.to_string(),
-                "--checkpoint-every".into(),
-                cfg.checkpoint_every.to_string(),
-                "--stall-ms".into(),
-                cfg.stall_ms.to_string(),
-            ];
-            if let Some(model) = args.get("model") {
-                wargs.push("--model".into());
-                wargs.push(model.to_string());
-            }
-            let fault_plan = args.get_or("fault-plan", "");
-            if !fault_plan.is_empty() {
-                wargs.push("--fault-plan".into());
-                wargs.push(fault_plan);
+            let mut wargs =
+                vec!["fleet-worker".to_string(), "--dir".into(), dir.display().to_string()];
+            for key in FLEET_WORKER_OPTS {
+                if let Some(v) = args.get(key) {
+                    wargs.extend([format!("--{key}"), v.to_string()]);
+                }
             }
             let command = snowcat_harness::WorkerCommand {
                 program: std::env::current_exe().map_err(|e| {
@@ -1037,84 +1003,65 @@ pub fn fleet(args: &Args) -> CmdResult {
                 cfg: &cfg,
                 label: label.clone(),
                 seed,
-                stream_len: stream.len(),
+                stream_len,
             };
-            run_fleet(&worker, &label, seed, stream.len(), &cfg, resume)?
-        } else {
-            match explorer_kind(args)? {
-                None => {
-                    if args.has_flag("serve") {
-                        return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into());
-                    }
-                    let make = |_slot: usize| Explorer::Pct;
-                    let worker = ThreadWorker {
-                        kernel: &k,
-                        corpus: &corpus,
-                        stream: &stream,
-                        explore_cfg: &explore_cfg,
-                        cost: &cost,
-                        cfg: &cfg,
-                        make_explorer: &make,
-                    };
-                    run_fleet(&worker, "PCT", seed, stream.len(), &cfg, resume)?
-                }
-                Some(kind) => {
-                    let ck = load_model(args)?;
-                    let kcfg = KernelCfg::build(&k);
-                    let label = kind.label();
-                    // Every worker slot gets its own Pic (graph builder + cache);
-                    // with --serve they all route inference through one shared
-                    // micro-batching server instead of predicting inline.
-                    let pics: Vec<Pic> = (0..workers).map(|_| Pic::new(&ck, &k, &kcfg)).collect();
-                    if args.has_flag("serve") {
-                        let serve_cfg = ServeConfig {
-                            max_batch: args.get_parse("serve-batch", 16usize)?,
-                            max_wait_us: args.get_parse("serve-wait-us", 200u64)?,
-                            workers: args.get_parse("serve-workers", 1usize)?,
-                            ..ServeConfig::default()
-                        };
-                        let mut server = InferenceServer::start(&ck, serve_cfg, sink.clone());
-                        let handles: Vec<_> = (0..workers).map(|_| server.handle()).collect();
-                        let make = |slot: usize| Explorer::MlPct {
-                            service: PredictorService::with(&pics[slot], &handles[slot]),
-                            strategy: kind.build(),
-                        };
-                        let worker = ThreadWorker {
-                            kernel: &k,
-                            corpus: &corpus,
-                            stream: &stream,
-                            explore_cfg: &explore_cfg,
-                            cost: &cost,
-                            cfg: &cfg,
-                            make_explorer: &make,
-                        };
-                        let fc = run_fleet(&worker, &label, seed, stream.len(), &cfg, resume)?;
-                        let sv = server.shutdown();
-                        println!(
-                    "serving: {} requests, {} graphs, {} flushes ({:.0}% fill) shared by {} workers",
-                    sv.requests,
-                    sv.graphs,
-                    sv.flushes,
-                    sv.batch_fill * 100.0,
-                    workers
-                );
-                        fc
-                    } else {
-                        let make = |slot: usize| Explorer::mlpct(&pics[slot], kind.build());
-                        let worker = ThreadWorker {
-                            kernel: &k,
-                            corpus: &corpus,
-                            stream: &stream,
-                            explore_cfg: &explore_cfg,
-                            cost: &cost,
-                            cfg: &cfg,
-                            make_explorer: &make,
-                        };
-                        run_fleet(&worker, &label, seed, stream.len(), &cfg, resume)?
-                    }
-                }
+            return Ok(run_fleet(&worker, &label, seed, stream_len, &cfg, resume)?);
+        }
+
+        // Every MLPCT worker slot gets its own Pic (graph builder + cache);
+        // with --serve they all route inference through one shared
+        // micro-batching server instead of predicting inline.
+        let (ck, kcfg, pics, handles, pct, direct, served);
+        let mut server = None;
+        let (label, make): (String, MakeExplorer) = match explorer_kind(args)? {
+            None if serve => return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into()),
+            None => {
+                pct = |_slot: usize| Explorer::Pct;
+                ("PCT".into(), &pct)
             }
-        })
+            Some(kind) => {
+                ck = load_model(args)?;
+                kcfg = KernelCfg::build(&k);
+                pics = (0..workers).map(|_| Pic::new(&ck, &k, &kcfg)).collect::<Vec<_>>();
+                let pics = &pics;
+                let make: MakeExplorer = if serve {
+                    let s = server.insert(InferenceServer::start(&ck, serve_config(args)?, sink));
+                    handles = (0..workers).map(|_| s.handle()).collect::<Vec<_>>();
+                    let handles = &handles;
+                    served = move |slot: usize| Explorer::MlPct {
+                        service: PredictorService::with(&pics[slot], &handles[slot]),
+                        strategy: kind.build(),
+                    };
+                    &served
+                } else {
+                    direct = move |slot: usize| Explorer::mlpct(&pics[slot], kind.build());
+                    &direct
+                };
+                (kind.label(), make)
+            }
+        };
+        let worker = ThreadWorker {
+            kernel: &k,
+            corpus: &setup.corpus,
+            stream: &setup.stream,
+            explore_cfg: &setup.explore_cfg,
+            cost: &setup.cost,
+            cfg: &cfg,
+            make_explorer: make,
+        };
+        let fc = run_fleet(&worker, &label, seed, stream_len, &cfg, resume)?;
+        if let Some(mut server) = server {
+            let sv = server.shutdown();
+            println!(
+                "serving: {} requests, {} graphs, {} flushes ({:.0}% fill) shared by {} workers",
+                sv.requests,
+                sv.graphs,
+                sv.flushes,
+                sv.batch_fill * 100.0,
+                workers
+            );
+        }
+        Ok(fc)
     })();
     let fc = match fleet_result {
         Ok(fc) => fc,
@@ -1135,7 +1082,7 @@ pub fn fleet(args: &Args) -> CmdResult {
         fc.lost_workers,
         fc.quarantined_shards().len(),
     );
-    let report = report_from_fleet_checkpoint(&fc, &cost)?;
+    let report = report_from_fleet_checkpoint(&fc, &setup.cost)?;
     if let Some(c) = &report.campaign {
         println!(
             "{}: {} CTIs, {} executions, {} races ({} harmful), {} sched-dep blocks, {} bugs, \
@@ -1167,75 +1114,37 @@ pub fn fleet(args: &Args) -> CmdResult {
 /// NOTHING in this function may print to stdout — stdout *is* the wire.
 /// Diagnostics go to stderr (inherited from the coordinator).
 pub fn fleet_worker(args: &Args) -> CmdResult {
-    args.ensure_known(&[
-        "version",
-        "seed",
-        "ctis",
-        "budget",
-        "explorer",
-        "model",
-        "dir",
-        "lease-ms",
-        "max-steals",
-        "checkpoint-every",
-        "fault-plan",
-        "stall-ms",
-    ])?;
+    args.ensure_known(&[FLEET_WORKER_OPTS, &["dir"]].concat())?;
     let k = build_kernel(args)?;
-    let seed = args.get_parse("seed", DEFAULT_SEED)?;
-    let n_ctis = args.get_parse("ctis", 20usize)?;
-    let budget = args.get_parse("budget", 20usize)?;
+    let setup = CampaignSetup::from_args(args, &k, 20)?;
     let dir = std::path::PathBuf::from(args.get_or("dir", "."));
+    let cfg = fleet_config(args, 1, &dir)?;
 
-    let mut fz = StiFuzzer::new(&k, seed);
-    fz.seed_each_syscall();
-    fz.fuzz(100);
-    let corpus = fz.into_corpus();
-    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0xE0);
-    let stream = interacting_cti_pairs(&mut rng, &corpus, n_ctis);
-
-    let explore_cfg = ExploreConfig::default().with_exec_budget(budget).with_seed(seed);
-    let cost = CostModel::default();
-
-    let mut cfg = FleetConfig::new(1, &dir);
-    cfg.lease_ms = args.get_parse("lease-ms", 2_000u64)?;
-    cfg.max_steals = args.get_parse("max-steals", 3u64)?;
-    cfg.checkpoint_every = args.get_parse("checkpoint-every", 25usize)?;
-    cfg.stall_ms = args.get_parse("stall-ms", 0u64)?;
-    cfg.fault_plan = FaultPlan::parse(&args.get_or("fault-plan", ""))?;
-
-    match explorer_kind(args)? {
+    let (ck, kcfg, pic, pct, direct);
+    let (label, make): (String, MakeExplorer) = match explorer_kind(args)? {
         None => {
-            let make = |_slot: usize| Explorer::Pct;
-            let worker = ThreadWorker {
-                kernel: &k,
-                corpus: &corpus,
-                stream: &stream,
-                explore_cfg: &explore_cfg,
-                cost: &cost,
-                cfg: &cfg,
-                make_explorer: &make,
-            };
-            snowcat_harness::serve_worker(&worker, "PCT", seed, stream.len(), cfg.lease_ms)?;
+            pct = |_slot: usize| Explorer::Pct;
+            ("PCT".into(), &pct)
         }
         Some(kind) => {
-            let ck = load_model(args)?;
-            let kcfg = KernelCfg::build(&k);
-            let label = kind.label();
-            let pic = Pic::new(&ck, &k, &kcfg);
-            let make = |_slot: usize| Explorer::mlpct(&pic, kind.build());
-            let worker = ThreadWorker {
-                kernel: &k,
-                corpus: &corpus,
-                stream: &stream,
-                explore_cfg: &explore_cfg,
-                cost: &cost,
-                cfg: &cfg,
-                make_explorer: &make,
-            };
-            snowcat_harness::serve_worker(&worker, &label, seed, stream.len(), cfg.lease_ms)?;
+            ck = load_model(args)?;
+            kcfg = KernelCfg::build(&k);
+            pic = Pic::new(&ck, &k, &kcfg);
+            let pic = &pic;
+            direct = move |_slot: usize| Explorer::mlpct(pic, kind.build());
+            (kind.label(), &direct)
         }
-    }
+    };
+    let worker = ThreadWorker {
+        kernel: &k,
+        corpus: &setup.corpus,
+        stream: &setup.stream,
+        explore_cfg: &setup.explore_cfg,
+        cost: &setup.cost,
+        cfg: &cfg,
+        make_explorer: make,
+    };
+    snowcat_harness::serve_worker(&worker, &label, setup.seed, setup.stream.len(), cfg.lease_ms)?;
     Ok(())
 }
 

@@ -69,7 +69,7 @@ COMMANDS:
               [--explorer pct|s1|s2|s3] [--model FILE]
               [--checkpoint FILE] [--checkpoint-every K] [--resume FILE]
               [--fuel-budget STEPS] [--fault-plan SPEC] [--max-hours H]
-              [--stall-ms MS] [--stop-after N] [--out FILE] [--report FILE]
+              [--stall-ms MS] [--stop-after N] [--report FILE]
               [--events DIR] [--fail-on-hung] [--fail-on-degraded]
               [--serve] [--serve-batch N] [--serve-wait-us U] [--serve-workers W]
               [--refresh PAIRS] [--refresh-epochs E] [--refresh-max R]
@@ -111,7 +111,7 @@ COMMANDS:
 
 EXIT CODES:
   0 success   1 I/O or parse error      2 bad usage / config
-  3 CT hung   4 checkpoint corrupt      5 campaign worker failed
+  3 CT hung   4 checkpoint corrupt
   6 predictor degraded (with --fail-on-degraded)
   7 training diverged (anomaly persisted through every salted retry)
   8 fleet failed or degraded (every worker lost / lease expired / live
@@ -155,12 +155,16 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         // Typed Snowcat errors carry distinct exit codes (hung CT = 3,
-        // corrupt checkpoint = 4, failed campaign = 5, degraded = 6, …);
-        // anything else is a generic failure.
-        let code = e
-            .downcast_ref::<snowcat_core::SnowcatError>()
-            .map(snowcat_core::SnowcatError::exit_code)
-            .unwrap_or(1);
+        // corrupt checkpoint = 4, degraded = 6, …); an unknown option or an
+        // unparsable value is bad usage (2); anything else is a generic
+        // failure.
+        let code = if e.is::<args::ArgError>() {
+            2
+        } else {
+            e.downcast_ref::<snowcat_core::SnowcatError>()
+                .map(snowcat_core::SnowcatError::exit_code)
+                .unwrap_or(1)
+        };
         std::process::exit(code);
     }
 }

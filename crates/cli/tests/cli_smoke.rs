@@ -94,4 +94,14 @@ fn typo_in_option_is_rejected() {
     let (ok, _, stderr) = snowcat(&["fuzz", "--iterationz", "5"]);
     assert!(!ok);
     assert!(stderr.contains("unknown option"));
+    // Bad usage exits 2, as USAGE documents: an unknown option, a removed
+    // one, and an unparsable value alike.
+    for args in [
+        &["fuzz", "--iterationz", "5"][..],
+        &["campaign", "--out", "x.json"],
+        &["campaign", "--ctis", "notanumber"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_snowcat")).args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{args:?} is bad usage");
+    }
 }

@@ -2,6 +2,9 @@
 //! mid-run, resume from its checkpoint, and verify the final coverage is
 //! byte-identical to an uninterrupted run with the same seed.
 
+use snowcat_core::HistoryPoint;
+use snowcat_harness::load_checkpoint_with_fallback;
+use snowcat_kernel::BugId;
 use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
@@ -17,12 +20,13 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The `result` field of a campaign's `--out` JSON (history + bugs), which
-/// must be identical between a kill+resume run and an uninterrupted one.
-fn result_of(path: &Path) -> serde_json::Value {
-    let text = std::fs::read_to_string(path).unwrap();
-    let v = serde_json::parse(&text).unwrap();
-    v.get("result").expect("out JSON has a result field").clone()
+/// The per-CTI history and the bugs found, read from a campaign's final
+/// SCCP checkpoint: they must be identical between a kill+resume run and an
+/// uninterrupted one.
+fn history_of(path: &Path) -> (Vec<HistoryPoint>, Vec<BugId>) {
+    let (ck, fell_back) = load_checkpoint_with_fallback(path).expect("final checkpoint loads");
+    assert!(!fell_back, "the final checkpoint of a finished run is intact");
+    (ck.history, ck.bugs_found)
 }
 
 const COMMON: &[&str] = &["campaign", "--seed", "77", "--ctis", "8", "--budget", "5"];
@@ -31,14 +35,17 @@ const COMMON: &[&str] = &["campaign", "--seed", "77", "--ctis", "8", "--budget",
 fn killed_campaign_resumes_to_identical_coverage() {
     let dir = tmp_dir("resume");
     let ckpt = dir.join("campaign.ckpt");
-    let full_out = dir.join("full.json");
     let full_report = dir.join("full-report.json");
-    let resumed_out = dir.join("resumed.json");
+    // The reference run checkpoints into a subdirectory, so `status dir`
+    // below sees only the victim's campaign checkpoint.
+    let ref_dir = dir.join("ref");
+    std::fs::create_dir_all(&ref_dir).unwrap();
+    let full_ckpt = ref_dir.join("full.ckpt");
 
     // Reference: the same campaign, uninterrupted.
     let status = snowcat()
         .args(COMMON)
-        .args(["--out", full_out.to_str().unwrap()])
+        .args(["--checkpoint", full_ckpt.to_str().unwrap()])
         .args(["--report", full_report.to_str().unwrap()])
         .status()
         .expect("binary runs");
@@ -73,14 +80,13 @@ fn killed_campaign_resumes_to_identical_coverage() {
         .args(COMMON)
         .args(["--resume", ckpt.to_str().unwrap()])
         .args(["--checkpoint", ckpt.to_str().unwrap()])
-        .args(["--out", resumed_out.to_str().unwrap()])
         .status()
         .expect("binary runs");
     assert!(status.success(), "resume after SIGKILL failed");
 
     assert_eq!(
-        result_of(&resumed_out),
-        result_of(&full_out),
+        history_of(&ckpt),
+        history_of(&full_ckpt),
         "kill+resume must reproduce the uninterrupted campaign exactly"
     );
 
@@ -116,20 +122,21 @@ fn injected_predictor_style_faults_do_not_abort() {
     // A hang-heavy plan: the campaign must still exit 0 (no --fail-on-hung)
     // and report its recovery counters on stdout.
     let dir = tmp_dir("faulty");
-    let out_json = dir.join("out.json");
+    let report_json = dir.join("report.json");
     let out = snowcat()
         .args(COMMON)
-        .args(["--fault-plan", "hang@1,hang@3x3", "--out", out_json.to_str().unwrap()])
+        .args(["--fault-plan", "hang@1,hang@3x3", "--report", report_json.to_str().unwrap()])
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "faulty campaign must complete");
-    let v = serde_json::parse(&std::fs::read_to_string(&out_json).unwrap()).unwrap();
-    let hung = v.get("recovery").and_then(|r| r.get("hung_attempts")).cloned();
+    let v = serde_json::parse(&std::fs::read_to_string(&report_json).unwrap()).unwrap();
+    let campaign = v.get("campaign").expect("a campaign report");
+    let hung = campaign.get("hung_attempts").cloned();
     assert!(
         matches!(hung, Some(serde_json::Value::UInt(n)) if n >= 4),
         "hang@1 + hang@3x3 means at least 4 hung attempts, got {hung:?}"
     );
-    let quarantined = v.get("quarantined").and_then(|q| q.as_array().map(<[_]>::len));
+    let quarantined = campaign.get("quarantined").and_then(|q| q.as_array().map(<[_]>::len));
     assert_eq!(quarantined, Some(1), "only the 3x-hung position is quarantined");
 
     // The same plan with --fail-on-hung is exit code 3.

@@ -13,19 +13,13 @@ use snowcat_vm::{ScheduleHints, SwitchPoint};
 
 /// Format magic.
 const MAGIC: &[u8; 4] = b"SCDS";
-/// Format version written by [`encode_dataset`]. Version 3 added a
-/// per-vertex flags byte (bit 0 = `may_race`); version 4 wrapped the payload
-/// in a checksummed length frame (see [`frame_checksummed`]) so truncated
-/// and bit-flipped files are detected instead of decoding to garbage;
-/// version 5 added three per-vertex static feature bytes (alias density,
-/// lockset size, race degree) right after the flags byte.
-/// Version-2/3 payloads still decode, without integrity checking; version-4
-/// frames decode with zeroed static features.
+/// The only format version, written by [`encode_dataset`] and accepted by
+/// [`decode_dataset`]. The payload sits in a checksummed length frame (see
+/// [`frame_checksummed`]) so truncated and bit-flipped files are detected
+/// instead of decoding to garbage; each vertex carries a flags byte (bit 0 =
+/// `may_race`) followed by three static feature bytes (alias density,
+/// lockset size, race degree).
 const VERSION: u16 = 5;
-/// Oldest version [`decode_dataset`] accepts.
-const MIN_VERSION: u16 = 2;
-/// First version whose payload is CRC-framed.
-const FRAMED_VERSION: u16 = 4;
 
 /// Vertex flags byte, bit 0: static may-race mark.
 const VFLAG_MAY_RACE: u8 = 1;
@@ -142,8 +136,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// `magic(4) | version(u16 le) | payload_len(u64 le) | crc32(u32 le) | payload`.
 ///
 /// The frame makes truncation (length mismatch) and bit rot (checksum
-/// mismatch) detectable at decode time; both SCDS v4 datasets and SCCP
-/// campaign checkpoints use it.
+/// mismatch) detectable at decode time; SCDS datasets, SCCP campaign
+/// checkpoints and the other on-disk formats use it.
 pub fn frame_checksummed(magic: &[u8; 4], version: u16, payload: &[u8]) -> Bytes {
     let mut buf = BytesMut::with_capacity(4 + 2 + 8 + 4 + payload.len());
     buf.put_slice(magic);
@@ -252,16 +246,14 @@ fn encode_graph(buf: &mut BytesMut, g: &CtGraph) {
     }
 }
 
-fn decode_graph(buf: &mut Bytes, version: u16) -> Result<CtGraph, DecodeError> {
+fn decode_graph(buf: &mut Bytes) -> Result<CtGraph, DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
-    let flags_bytes = usize::from(version >= 3);
-    let static_bytes = if version >= 5 { snowcat_graph::STATIC_CHANNELS } else { 0 };
     let nv = buf.get_u32_le() as usize;
     let mut verts = Vec::with_capacity(nv.min(1 << 20));
     for _ in 0..nv {
-        if buf.remaining() < 4 + 1 + 1 + 1 + flags_bytes + static_bytes + 2 {
+        if buf.remaining() < 4 + 1 + 1 + 1 + 1 + snowcat_graph::STATIC_CHANNELS + 2 {
             return Err(DecodeError::Truncated);
         }
         let block = BlockId(buf.get_u32_le());
@@ -277,14 +269,10 @@ fn decode_graph(buf: &mut Bytes, version: u16) -> Result<CtGraph, DecodeError> {
             2 => SchedMark::ResumeTarget,
             x => return Err(DecodeError::BadEnum("sched mark", x)),
         };
-        let may_race = if version >= 3 { buf.get_u8() & VFLAG_MAY_RACE != 0 } else { false };
-        let static_feats = if version >= 5 {
-            let mut b = [0u8; snowcat_graph::STATIC_CHANNELS];
-            buf.copy_to_slice(&mut b);
-            StaticFeats::from_bytes(b)
-        } else {
-            StaticFeats::default()
-        };
+        let may_race = buf.get_u8() & VFLAG_MAY_RACE != 0;
+        let mut b = [0u8; snowcat_graph::STATIC_CHANNELS];
+        buf.copy_to_slice(&mut b);
+        let static_feats = StaticFeats::from_bytes(b);
         let nt = buf.get_u16_le() as usize;
         if buf.remaining() < nt * 2 {
             return Err(DecodeError::Truncated);
@@ -317,7 +305,7 @@ fn decode_graph(buf: &mut Bytes, version: u16) -> Result<CtGraph, DecodeError> {
     Ok(CtGraph { verts, edges })
 }
 
-/// Encode a dataset into the compact binary format (v4: checksummed frame).
+/// Encode a dataset into the compact binary format (v5: checksummed frame).
 pub fn encode_dataset(ds: &Dataset) -> Bytes {
     let mut buf = BytesMut::with_capacity(1 << 20);
     buf.put_u32_le(ds.examples.len() as u32);
@@ -338,34 +326,16 @@ pub fn encode_dataset(ds: &Dataset) -> Bytes {
 
 /// Decode a dataset from the compact binary format.
 ///
-/// v4 payloads are length- and CRC-checked first, so truncation and bit rot
-/// anywhere in the file surface as typed errors; v2/v3 payloads decode with
-/// structural validation only (their headers carry no checksum).
-pub fn decode_dataset(mut buf: Bytes) -> Result<Dataset, DecodeError> {
-    if buf.remaining() < 4 + 2 {
-        return Err(DecodeError::Truncated);
-    }
-    // Peek the version to route framed vs legacy layouts.
-    let peeked_version = u16::from_le_bytes([buf[4], buf[5]]);
-    if peeked_version >= FRAMED_VERSION || !(MIN_VERSION..=VERSION).contains(&peeked_version) {
-        // Framed layout (or an invalid version, which unframing reports
-        // with the same typed errors as the legacy path would).
-        let (ver, payload) = unframe_checksummed(MAGIC, MIN_VERSION, VERSION, buf)?;
-        // A v4 frame carries the v3 example layout (per-vertex flags);
-        // v5+ frames carry their own layout (static feature bytes).
-        return decode_examples(payload, if ver >= 5 { ver } else { 3 });
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(DecodeError::BadMagic);
-    }
-    let version = buf.get_u16_le();
-    decode_examples(buf, version)
+/// The frame is length- and CRC-checked first, so truncation and bit rot
+/// anywhere in the file surface as typed errors; any version other than
+/// v5 is rejected with [`DecodeError::BadVersion`].
+pub fn decode_dataset(buf: Bytes) -> Result<Dataset, DecodeError> {
+    let (_, payload) = unframe_checksummed(MAGIC, VERSION, VERSION, buf)?;
+    decode_examples(payload)
 }
 
 /// Decode the example section (`count u32 | examples…`) of an SCDS payload.
-fn decode_examples(mut buf: Bytes, version: u16) -> Result<Dataset, DecodeError> {
+fn decode_examples(mut buf: Bytes) -> Result<Dataset, DecodeError> {
     if buf.remaining() < 4 {
         return Err(DecodeError::Truncated);
     }
@@ -376,7 +346,7 @@ fn decode_examples(mut buf: Bytes, version: u16) -> Result<Dataset, DecodeError>
             return Err(DecodeError::Truncated);
         }
         let cti_index = buf.get_u32_le() as usize;
-        let graph = decode_graph(&mut buf, version)?;
+        let graph = decode_graph(&mut buf)?;
         let labels = get_bits(&mut buf)?;
         let flow_labels = get_bits(&mut buf)?;
         if buf.remaining() < 1 + 2 {
@@ -467,7 +437,7 @@ mod tests {
     }
 
     #[test]
-    fn version_4_frames_still_decode_with_zeroed_static_feats() {
+    fn version_4_frames_are_rejected() {
         // Hand-build a v4 frame: the v3 example layout (flags byte, no
         // static feature bytes) inside the checksummed frame.
         let mut body = BytesMut::new();
@@ -487,16 +457,13 @@ mod tests {
         body.put_u8(0); // hints.first
         body.put_u16_le(0); // switches
         let framed = frame_checksummed(MAGIC, 4, &body.freeze());
-        let ds = decode_dataset(framed).unwrap();
-        let v = &ds.examples[0].graph.verts[0];
-        assert!(v.may_race);
-        assert_eq!(v.static_feats, StaticFeats::default(), "v4 vertices have zero channels");
+        assert_eq!(decode_dataset(framed).unwrap_err(), DecodeError::BadVersion(4));
     }
 
     #[test]
-    fn version_2_payloads_still_decode() {
-        // Hand-build a v2 payload (no per-vertex flags byte): one example,
-        // one vertex, no edges, no labels, no switches.
+    fn version_2_payloads_are_rejected() {
+        // Hand-build an unframed v2 payload (no per-vertex flags byte): one
+        // example, one vertex, no edges, no labels, no switches.
         let mut buf = BytesMut::new();
         buf.put_slice(MAGIC);
         buf.put_u16_le(2); // version
@@ -514,11 +481,7 @@ mod tests {
         buf.put_u32_le(0); // flow labels
         buf.put_u8(0); // hints.first
         buf.put_u16_le(0); // switches
-        let ds = decode_dataset(buf.freeze()).unwrap();
-        assert_eq!(ds.examples.len(), 1);
-        let v = &ds.examples[0].graph.verts[0];
-        assert_eq!(v.block, BlockId(3));
-        assert!(!v.may_race, "v2 vertices default to may_race = false");
+        assert_eq!(decode_dataset(buf.freeze()).unwrap_err(), DecodeError::BadVersion(2));
     }
 
     #[test]
@@ -587,7 +550,10 @@ mod tests {
 
     #[test]
     fn bad_magic_is_rejected() {
-        let err = decode_dataset(Bytes::from_static(b"NOPE\x02\x00\x00\x00\x00\x00"));
+        // A full 18-byte frame header, so the magic check is what fails.
+        let err = decode_dataset(Bytes::from_static(
+            b"NOPE\x05\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00",
+        ));
         assert_eq!(err.unwrap_err(), DecodeError::BadMagic);
     }
 

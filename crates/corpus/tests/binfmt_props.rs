@@ -104,7 +104,7 @@ proptest! {
         let mut raw = encode_dataset(&ds).to_vec();
         let pos = ((raw.len() - 1) as f64 * pos_frac) as usize;
         raw[pos] ^= 1 << bit;
-        // SCDS v4 frames the payload with a CRC32, so *any* single-bit flip
+        // SCDS frames the payload with a CRC32, so *any* single-bit flip
         // anywhere in the file must be detected as a typed error — never a
         // panic, never a silently different dataset.
         prop_assert!(decode_dataset(bytes::Bytes::from(raw)).is_err());

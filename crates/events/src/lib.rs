@@ -16,7 +16,7 @@
 //!   timeline visualization.
 //! * [`report`] — the unified, versioned [`Report`] that replaces the
 //!   divergent ad-hoc `--report` JSON shapes of `snowcat campaign` and
-//!   `snowcat train`, with a sniffing loader for the legacy shapes.
+//!   `snowcat train`.
 //!
 //! The crate is a leaf: event payloads use plain integers and strings so
 //! that `snowcat-core` and `snowcat-harness` can depend on it without
@@ -34,8 +34,8 @@ pub use jsonl::{
 };
 pub use perfetto::{validate_trace, PerfettoBuilder};
 pub use report::{
-    load_report, AnomalyRecord, CampaignSummary, PredictorCounters, Report, ShardIssue,
-    TrainSummary, REPORT_SCHEMA_VERSION,
+    AnomalyRecord, CampaignSummary, PredictorCounters, Report, ShardIssue, TrainSummary,
+    REPORT_SCHEMA_VERSION,
 };
 pub use schema::{
     CampaignEvent, Event, EventRecord, FleetEvent, ServeEvent, TrainEvent, EVENT_SCHEMA_VERSION,

@@ -103,31 +103,6 @@ impl PerfettoBuilder {
                     vec![],
                 );
             }
-            Event::Campaign(CampaignEvent::WorkerStarted { slot, label }) => {
-                self.push_raw(format!("worker {label}"), "i", t, None, *slot + 1, vec![]);
-            }
-            Event::Campaign(CampaignEvent::WorkerFinished {
-                slot,
-                label,
-                ok,
-                fault,
-                elapsed_us,
-            }) => {
-                // Render the worker's lifetime as a complete slice so
-                // wall-time-to-failure is visible on the timeline.
-                let mut args = vec![("ok", Value::Bool(*ok))];
-                if let Some(f) = fault {
-                    args.push(("fault", Value::Str(f.clone())));
-                }
-                self.push_raw(
-                    format!("worker {label}"),
-                    "X",
-                    t.saturating_sub(*elapsed_us),
-                    Some((*elapsed_us).max(1)),
-                    *slot + 1,
-                    args,
-                );
-            }
             // Fleet shard lifecycle: one lane per worker slot, markers for
             // lease/steal/loss so recovery paths are visible at a glance.
             Event::Fleet(FleetEvent::ShardLeased { shard, worker, generation, deadline_ms }) => {

@@ -4,13 +4,10 @@
 //! `snowcat status --json` all emit this type. It deliberately excludes
 //! wall-clock time, checkpoint-write counts and resume provenance, so a
 //! killed-and-resumed run serializes byte-identically to an uninterrupted
-//! run with the same seed.
-//!
-//! [`load_report`] additionally sniffs the two legacy shapes (the campaign
-//! `--out` blob and the old train `--report` blob) and converts them, so
-//! downstream tooling can migrate one release behind.
+//! run with the same seed. It is the only report shape: read one back with
+//! `serde_json::from_str::<Report>`.
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Version of the [`Report`] schema.
 pub const REPORT_SCHEMA_VERSION: u16 = 1;
@@ -32,7 +29,7 @@ pub struct PredictorCounters {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignSummary {
     pub label: String,
-    /// Campaign seed (0 when converted from a legacy blob that lacked it).
+    /// Campaign seed.
     pub seed: u64,
     pub ctis: u64,
     pub executions: u64,
@@ -125,137 +122,6 @@ impl Report {
     }
 }
 
-fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    v.get(key).and_then(|x| u64::from_value(x).ok())
-}
-
-fn get_f64(v: &Value, key: &str) -> Option<f64> {
-    v.get(key).and_then(|x| f64::from_value(x).ok())
-}
-
-fn get_str(v: &Value, key: &str) -> Option<String> {
-    v.get(key).and_then(|x| String::from_value(x).ok())
-}
-
-fn legacy_campaign(v: &Value) -> Result<Report, String> {
-    let result = v.get("result").ok_or("legacy campaign blob has no result")?;
-    let last = result
-        .get("history")
-        .and_then(|h| h.as_array())
-        .and_then(|a| a.last())
-        .cloned()
-        .unwrap_or(Value::Null);
-    let recovery = v.get("recovery").cloned().unwrap_or(Value::Null);
-    let quarantined: Vec<(u64, u64)> = v
-        .get("quarantined")
-        .and_then(|q| Vec::<(u64, u64)>::from_value(q).ok())
-        .unwrap_or_default();
-    let predictor = v.get("predictor_stats").and_then(|p| PredictorCounters::from_value(p).ok());
-    let summary = CampaignSummary {
-        label: get_str(result, "label").unwrap_or_default(),
-        seed: 0,
-        ctis: get_u64(&last, "ctis").unwrap_or(0),
-        executions: get_u64(&last, "executions").unwrap_or(0),
-        inferences: get_u64(&last, "inferences").unwrap_or(0),
-        races: get_u64(&last, "races").unwrap_or(0),
-        harmful_races: get_u64(&last, "harmful_races").unwrap_or(0),
-        sched_dep_blocks: get_u64(&last, "sched_dep_blocks").unwrap_or(0),
-        bugs_found: result
-            .get("bugs_found")
-            .and_then(|b| Vec::<u64>::from_value(b).ok())
-            .unwrap_or_default(),
-        sim_hours: get_f64(&last, "hours").unwrap_or(0.0),
-        quarantined,
-        hung_attempts: get_u64(&recovery, "hung_attempts").unwrap_or(0),
-        retries: get_u64(&recovery, "retries").unwrap_or(0),
-        wasted_executions: get_u64(&recovery, "wasted_executions").unwrap_or(0),
-        skipped_quarantined: get_u64(&recovery, "skipped_quarantined").unwrap_or(0),
-        predictor,
-    };
-    Ok(Report::for_campaign(summary))
-}
-
-fn legacy_train(v: &Value) -> Result<Report, String> {
-    let result = v.get("result").ok_or("legacy train blob has no result")?;
-    let anomalies = result
-        .get("anomalies")
-        .and_then(|a| a.as_array())
-        .map(|a| {
-            a.iter()
-                .map(|x| AnomalyRecord {
-                    epoch: get_u64(x, "epoch").unwrap_or(0),
-                    attempt: get_u64(x, "attempt").unwrap_or(0),
-                    kind: get_str(x, "kind").unwrap_or_default(),
-                    detail: get_str(x, "detail").unwrap_or_default(),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let quarantine = v.get("quarantine").cloned().unwrap_or(Value::Null);
-    let quarantined_shards = quarantine
-        .get("quarantined")
-        .and_then(|a| a.as_array())
-        .map(|a| {
-            a.iter()
-                .map(|x| ShardIssue {
-                    path: get_str(x, "path").unwrap_or_default(),
-                    reason: get_str(x, "reason").unwrap_or_default(),
-                })
-                .collect()
-        })
-        .unwrap_or_default();
-    let epoch_losses: Vec<f64> =
-        result.get("epoch_losses").and_then(|a| Vec::<f64>::from_value(a).ok()).unwrap_or_default();
-    let summary = TrainSummary {
-        epochs: epoch_losses.len() as u64,
-        epoch_losses,
-        val_ap: result
-            .get("val_ap")
-            .and_then(|a| Vec::<f64>::from_value(a).ok())
-            .unwrap_or_default(),
-        best_epoch: result
-            .get("best_epoch")
-            .and_then(|x| Option::<u64>::from_value(x).ok())
-            .flatten(),
-        threshold: result
-            .get("threshold")
-            .and_then(|x| Option::<f64>::from_value(x).ok())
-            .flatten(),
-        anomalies,
-        early_stopped: result
-            .get("early_stopped")
-            .and_then(|x| bool::from_value(x).ok())
-            .unwrap_or(false),
-        completed: result.get("completed").and_then(|x| bool::from_value(x).ok()).unwrap_or(false),
-        params_crc32: get_u64(result, "params_crc32").unwrap_or(0) as u32,
-        shards_loaded: get_u64(&quarantine, "loaded").unwrap_or(0),
-        shard_examples: get_u64(&quarantine, "examples").unwrap_or(0),
-        quarantined_shards,
-    };
-    Ok(Report::for_train(summary))
-}
-
-/// Load a report, sniffing the shape structurally:
-///
-/// * top-level `schema_version` → current unified [`Report`];
-/// * `result.epoch_losses` → legacy `snowcat train --report` blob;
-/// * `result.history` → legacy `snowcat campaign --out` blob.
-pub fn load_report(text: &str) -> Result<Report, String> {
-    let v = serde_json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
-    if v.get("schema_version").is_some() {
-        return serde_json::from_str::<Report>(text).map_err(|e| format!("bad report: {e}"));
-    }
-    if let Some(result) = v.get("result") {
-        if result.get("epoch_losses").is_some() {
-            return legacy_train(&v);
-        }
-        if result.get("history").is_some() {
-            return legacy_campaign(&v);
-        }
-    }
-    Err("unrecognized report shape (no schema_version, not a known legacy blob)".into())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +151,7 @@ mod tests {
     fn report_round_trips() {
         let r = sample_campaign();
         let s = r.to_canonical_json();
-        let back = load_report(&s).unwrap();
+        let back = serde_json::from_str::<Report>(&s).unwrap();
         assert_eq!(back, r);
         let t = Report::for_train(TrainSummary {
             epochs: 2,
@@ -306,13 +172,14 @@ mod tests {
             shard_examples: 64,
             quarantined_shards: vec![ShardIssue { path: "s1.scds".into(), reason: "crc".into() }],
         });
-        let back = load_report(&t.to_canonical_json()).unwrap();
+        let back = serde_json::from_str::<Report>(&t.to_canonical_json()).unwrap();
         assert_eq!(back, t);
     }
 
     #[test]
-    fn legacy_campaign_blob_is_sniffed() {
-        let legacy = r#"{
+    fn garbage_is_rejected() {
+        // The pre-`Report` campaign `--out` blob.
+        let old_campaign = r#"{
           "result": {
             "label": "PCT",
             "history": [
@@ -329,21 +196,8 @@ mod tests {
           "resumed_from": null,
           "predictor_stats": null
         }"#;
-        let r = load_report(legacy).unwrap();
-        assert_eq!(r.kind, "campaign");
-        let c = r.campaign.unwrap();
-        assert_eq!(c.label, "PCT");
-        assert_eq!(c.ctis, 2);
-        assert_eq!(c.executions, 25);
-        assert_eq!(c.bugs_found, vec![7]);
-        assert_eq!(c.quarantined, vec![(1, 2)]);
-        assert_eq!(c.hung_attempts, 2);
-        assert!(c.predictor.is_none());
-    }
-
-    #[test]
-    fn legacy_train_blob_is_sniffed() {
-        let legacy = r#"{
+        // The pre-`Report` train `--report` blob.
+        let old_train = r#"{
           "result": {
             "epoch_losses": [0.5, 0.4],
             "val_ap": [0.6, 0.65],
@@ -357,19 +211,8 @@ mod tests {
           "quarantine": {"loaded": 3, "examples": 90,
                          "quarantined": [{"path": "bad.scds", "reason": "checksum"}]}
         }"#;
-        let r = load_report(legacy).unwrap();
-        assert_eq!(r.kind, "train");
-        let t = r.train.unwrap();
-        assert_eq!(t.epochs, 2);
-        assert_eq!(t.best_epoch, Some(1));
-        assert_eq!(t.shards_loaded, 3);
-        assert_eq!(t.quarantined_shards.len(), 1);
-        assert_eq!(t.quarantined_shards[0].reason, "checksum");
-    }
-
-    #[test]
-    fn garbage_is_rejected() {
-        assert!(load_report("{}").is_err());
-        assert!(load_report("nope").is_err());
+        for text in ["{}", "nope", old_campaign, old_train] {
+            assert!(serde_json::from_str::<Report>(text).is_err(), "parsed as a Report: {text}");
+        }
     }
 }

@@ -62,15 +62,6 @@ pub enum CampaignEvent {
     PrefilterStats { vetoed: u64, survivors: u64, may_race_pairs: u64, refined: bool },
     /// A fault-plan entry fired (e.g. `hang@3`, `ckpt@2:flip`).
     FaultInjected { entry: String, position: u64 },
-    /// A parallel campaign worker began running. No longer emitted (the
-    /// in-process parallel runner is gone); kept so existing streams decode.
-    WorkerStarted { slot: u64, label: String },
-    /// A parallel campaign worker finished (no longer emitted; kept so
-    /// existing streams decode); `fault` names the fault-plan
-    /// entry that fired if the worker panicked under injection, and
-    /// `elapsed_us` is the worker's wall-clock from spawn to exit (so
-    /// fleet lease deadlines can be tuned from observed time-to-failure).
-    WorkerFinished { slot: u64, label: String, ok: bool, fault: Option<String>, elapsed_us: u64 },
     /// Campaign exit: final cumulative counts.
     Finished {
         label: String,
@@ -299,8 +290,6 @@ impl Event {
                 CampaignEvent::Quarantined { .. } => "campaign.quarantine",
                 CampaignEvent::PrefilterStats { .. } => "campaign.prefilter",
                 CampaignEvent::FaultInjected { .. } => "campaign.fault",
-                CampaignEvent::WorkerStarted { .. } => "campaign.worker_started",
-                CampaignEvent::WorkerFinished { .. } => "campaign.worker_finished",
                 CampaignEvent::Finished { .. } => "campaign.finished",
             },
             Event::Train(e) => match e {

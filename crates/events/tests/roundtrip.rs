@@ -20,7 +20,7 @@ fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
 
 fn arb_campaign() -> impl Strategy<Value = CampaignEvent> {
     (
-        0usize..14,
+        0usize..12,
         arb_string(),
         (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
         (0u64..64, 0u64..64, 0u64..10_000),
@@ -59,21 +59,13 @@ fn arb_campaign() -> impl Strategy<Value = CampaignEvent> {
             6 => CampaignEvent::HangDetected { position: a, attempt: z, injected: flag },
             7 => CampaignEvent::Quarantined { position: a, ct_a: x, ct_b: y, attempts: z },
             8 => CampaignEvent::FaultInjected { entry: text, position: a },
-            9 => CampaignEvent::WorkerStarted { slot: x, label: text },
-            10 => CampaignEvent::WorkerFinished {
-                slot: x,
-                label: text,
-                ok: flag,
-                fault: opt.map(|v| format!("hang@{v}")),
-                elapsed_us: c,
-            },
-            11 => CampaignEvent::PrefilterStats {
+            9 => CampaignEvent::PrefilterStats {
                 vetoed: a,
                 survivors: b,
                 may_race_pairs: c,
                 refined: flag,
             },
-            12 => CampaignEvent::Finished {
+            10 => CampaignEvent::Finished {
                 label: text,
                 executions: a,
                 inferences: b,
@@ -84,7 +76,7 @@ fn arb_campaign() -> impl Strategy<Value = CampaignEvent> {
                 quarantined: x,
                 sim_hours: f,
             },
-            _ => CampaignEvent::WorkerStarted { slot: y, label: text },
+            _ => CampaignEvent::FaultInjected { entry: text, position: y },
         })
 }
 
@@ -251,14 +243,6 @@ fn one_of_each() -> Vec<Event> {
             survivors: 9,
             may_race_pairs: 112,
             refined: true,
-        }),
-        Event::Campaign(CampaignEvent::WorkerStarted { slot: 0, label: "pct".into() }),
-        Event::Campaign(CampaignEvent::WorkerFinished {
-            slot: 0,
-            label: "pct".into(),
-            ok: false,
-            fault: Some("panic@1".into()),
-            elapsed_us: 48_000,
         }),
         Event::Campaign(CampaignEvent::Finished {
             label: "pct".into(),
