@@ -4,9 +4,11 @@
 //!
 //! The parallel/serial pair quantifies the ParallelPredictor speedup (the
 //! wrapper is bit-identical to serial inference, so any gap is pure win);
-//! the cached pair shows what content-addressed memoization buys when the
-//! exploration loop re-proposes schedules it has already scored. Cache hit
-//! rates are printed alongside the timings.
+//! each of their iterations deploys a fresh `Pic`, whose memo would
+//! otherwise answer every repeat of the pool. The cached row shows what
+//! content-addressed memoization buys when the exploration loop
+//! re-proposes schedules it has already scored. Cache hit rates are
+//! printed alongside the timings.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
@@ -44,15 +46,15 @@ fn bench_service(c: &mut Criterion) {
         })
         .collect();
 
-    c.bench_function("predict_batch_64_serial", |bch| bch.iter(|| pic.predict_batch(&pool)));
+    let fresh = || Pic::new(&checkpoint, &kernel, &cfg);
+    c.bench_function("predict_batch_64_serial", |bch| bch.iter(|| fresh().predict_batch(&pool)));
 
     // At least two workers so the scoped pool + work stealing is always the
     // measured path (on a single-core host this shows the coordination
     // overhead; on multi-core hosts, the speedup).
     let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(2, 8);
-    let par = ParallelPredictor::new(&pic, workers);
     c.bench_function(&format!("predict_batch_64_parallel_x{workers}"), |bch| {
-        bch.iter(|| par.predict_batch(&pool))
+        bch.iter(|| ParallelPredictor::new(fresh(), workers).predict_batch(&pool))
     });
 
     // Repeated-CTI stream: the same 64 candidates replayed each iteration.

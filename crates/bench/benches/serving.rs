@@ -9,6 +9,10 @@
 //! times the atomic hot-swap (ungated, and gated through an AP validation
 //! pass), and writes `results/BENCH_serving.json`.
 //!
+//! Both paths memoize predictions per deployed model, so every timed
+//! repetition starts from a fresh `Pic` and a fresh server: the best-of
+//! timings measure inference, not memo hits.
+//!
 //! Pass `--quick` for a CI-sized smoke run.
 
 use criterion::{black_box, Criterion};
@@ -101,25 +105,24 @@ fn main() {
     // queue in the way. Best-of-reps to shed background noise.
     let mut direct_s = f64::INFINITY;
     for _ in 0..=reps {
+        let fresh = Pic::new(&ck, &k, &cfg);
         let t0 = Instant::now();
         for req in &requests {
-            black_box(pic.predict_batch(req));
+            black_box(fresh.predict_batch(req));
         }
         direct_s = direct_s.min(t0.elapsed().as_secs_f64());
     }
 
-    // Served: one long-lived server, `clients` threads striping the same
-    // requests through it. With enough callers in flight the queue keeps
-    // whole multiples of `max_batch` pending, so every flush coalesces two
+    // Served: `clients` threads striping the same requests through a
+    // server. With enough callers in flight the queue keeps whole
+    // multiples of `max_batch` pending, so every flush coalesces two
     // requests and leaves full — the regime the 0.9x acceptance bound
-    // targets.
-    let mut server = InferenceServer::start(
-        &ck,
-        ServeConfig { max_batch, max_wait_us, slo_p99_us, ..ServeConfig::default() },
-        None,
-    );
+    // targets. The serving counters come from the fastest repetition.
+    let serve_cfg = ServeConfig { max_batch, max_wait_us, slo_p99_us, ..ServeConfig::default() };
     let mut served_s = f64::INFINITY;
+    let mut sreport = None;
     for _ in 0..=reps {
+        let mut server = InferenceServer::start(&ck, serve_cfg.clone(), None);
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for c in 0..clients {
@@ -132,13 +135,20 @@ fn main() {
                 });
             }
         });
-        served_s = served_s.min(t0.elapsed().as_secs_f64());
+        let elapsed = t0.elapsed().as_secs_f64();
+        let report = server.shutdown();
+        if elapsed < served_s {
+            served_s = elapsed;
+            sreport = Some(report);
+        }
     }
+    let sreport = sreport.expect("at least one served repetition");
 
     // Swap latency: ungated (pure arc-swap install), then gated through an
     // AP validation pass over one request's graphs. Swapping the incumbent
     // checkpoint back in keeps validation AP identical, so the gated swap
     // always installs and the timing covers the full accept path.
+    let mut server = InferenceServer::start(&ck, serve_cfg, None);
     let renamed = Checkpoint::new(&ck.restore(), ck.threshold, "bench-swap");
     let swap_reps = u64::from(reps).max(2);
     let t0 = Instant::now();
@@ -161,12 +171,10 @@ fn main() {
     }
     let gated_swap_us = t0.elapsed().as_secs_f64() * 1e6 / swap_reps as f64;
 
-    // Snapshot the serving counters now: the criterion loop below fires
-    // single half-batch requests and would dilute the multi-client phase's
-    // fill and latency numbers.
-    let sreport = server.report();
-
-    c.bench_function("served_half_batch_request", |b| {
+    // After its first iteration every graph is a memo hit, so this row
+    // times one caller's round trip through the queue (hand-off, deadline
+    // wait, result split), not inference.
+    c.bench_function("served_half_batch_request_warm", |b| {
         let h = server.handle();
         b.iter(|| black_box(h.predict_batch(&requests[0])))
     });

@@ -17,7 +17,7 @@
 use serde::Serialize;
 use snowcat_bench::{print_table, save_json, std_pipeline, Scale, FAMILY_SEED};
 use snowcat_cfg::KernelCfg;
-use snowcat_core::{train_pic, CostModel, Pic, PredictorService};
+use snowcat_core::{train_pic, CostModel, Pic};
 use snowcat_kernel::KernelVersion;
 use snowcat_vm::{propose_hints, run_ct, Cti, VmConfig};
 use std::time::Instant;
@@ -44,22 +44,24 @@ fn main() {
     let trained = train_pic(&kernel, &cfg, &pcfg, "PIC-5");
     let corpus = &trained.corpus;
     let pic = Pic::new(&trained.checkpoint, &kernel, &cfg);
-    let service = PredictorService::direct(&pic);
 
     let iters = scale.pick(200, 2000, 10000);
     let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(1);
 
     // Measure inference (graph assembly + forward pass), base graph reused
-    // per CTI exactly as the exploration loop does.
+    // per CTI exactly as the exploration loop does. The forward pass is
+    // called directly: these draws of one CTI repeat graphs, which the
+    // deployed model's memo would answer without running the model.
     let a = &corpus[0];
     let b = &corpus[1];
-    let base = service.base_graph(a, b);
+    let base = pic.base_graph(a, b);
     let started = Instant::now();
     let mut sink = 0usize;
     for _ in 0..iters {
         let hints = propose_hints(&mut rng, a.seq.steps, b.seq.steps);
-        let pred = service.predict_candidate(&base, a, b, &hints);
-        sink += pred.positive.iter().filter(|&&p| p).count();
+        let graph = pic.candidate_graph(&base, a, b, &hints);
+        let probs = pic.model().forward(&graph);
+        sink += probs.iter().filter(|&&p| p >= pic.threshold()).count();
     }
     let infer_ms = started.elapsed().as_secs_f64() * 1000.0 / iters as f64;
 

@@ -3,6 +3,7 @@
 //! The paper's primary contribution, assembled from the substrate crates:
 //!
 //! * [`pic`] — the deployed coverage predictor (model + threshold + graphs),
+//!   with a bounded memo so each distinct CT graph costs one forward pass,
 //! * [`strategy`] — CT-candidate selection strategies S1/S2/S3 (§3.3),
 //! * [`mlpct`] — per-CTI interleaving exploration: PCT baseline vs MLPCT
 //!   (§5.3.1),
@@ -49,7 +50,7 @@ pub use error::{
     SnowcatError, MIN_MODEL_VERSION, MODEL_MAGIC, MODEL_VERSION,
 };
 pub use mlpct::{explore_mlpct, explore_pct, explore_pct_native, ExploreConfig, ExploreOutcome};
-pub use pic::{checkpoint_fingerprint, Pic, PredictedCoverage};
+pub use pic::{checkpoint_fingerprint, DeployedModel, Pic, PredictedCoverage};
 pub use pipeline::{
     as_flow_labeled, as_labeled, collect_data, fine_tune, pretrain_encoder, train_on,
     train_on_with_flows, train_pic, CollectedData, PipelineConfig, PipelineOutput, PipelineSummary,

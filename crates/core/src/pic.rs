@@ -3,17 +3,27 @@
 //! ("given a CT candidate, predict its block coverage").
 //!
 //! Inference goes through the [`crate::predictor::CoveragePredictor`] trait,
-//! which [`Pic`] implements; this module keeps the graph-construction side
-//! (base graphs, schedule overlays) and the prediction result type.
+//! which [`Pic`] implements on top of a [`DeployedModel`]; this module keeps
+//! the graph-construction side (base graphs, schedule overlays), the
+//! memoizing forward pass and the prediction result type.
 
-use crate::predictor::{fnv1a, CoveragePredictor, FlowPredictor, PredictorStats};
+use crate::predictor::{
+    fnv1a, graph_fingerprint, CoveragePredictor, FlowPredictor, PredictorStats,
+};
+use parking_lot::Mutex;
 use snowcat_cfg::KernelCfg;
 use snowcat_corpus::StiProfile;
 use snowcat_graph::{CtGraph, CtGraphBuilder};
 use snowcat_kernel::{BlockId, Kernel, ThreadId};
 use snowcat_nn::{Checkpoint, PicModel, PicSession};
 use snowcat_vm::ScheduleHints;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Entries a [`DeployedModel`]'s memo holds before it is cleared. Above the
+/// 1,600-inference cap of one CTI (§5.3.1), so all the distinct candidate
+/// graphs of a CTI fit.
+const MEMO_CAP: usize = 2048;
 
 /// Predicted coverage for one CT candidate.
 #[derive(Debug, Clone)]
@@ -49,21 +59,103 @@ impl PredictedCoverage {
     }
 }
 
-/// The deployable PIC predictor: a restored model, its tuned threshold, and
-/// the graph builder for the kernel it was deployed against.
+/// A restored model and its tuned threshold: the one implementation of
+/// "model + threshold → [`PredictedCoverage`]", shared by the direct [`Pic`]
+/// and the inference server's model epochs.
 ///
-/// Inference state (the model, the threshold, the inference counter) is
+/// Predictions are memoized on [`graph_fingerprint`], so each distinct graph
+/// pays for one forward pass. A CT graph places switch points at block
+/// granularity and does not encode which thread starts, so MLPCT proposes
+/// many schedules with the same graph. The memo keeps probabilities only
+/// (the threshold is applied on every call), is cleared when it reaches
+/// `MEMO_CAP` (2,048) entries, and is locked for a lookup or an insert, never
+/// across a forward pass. A hit is bit-identical to a fresh forward pass,
+/// so a graph's prediction never depends on what was predicted before it.
+pub struct DeployedModel {
+    model: PicModel,
+    threshold: f32,
+    memo: Mutex<HashMap<u64, Vec<f32>>>,
+    forward_passes: AtomicU64,
+}
+
+impl DeployedModel {
+    /// Restore a checkpoint's model and threshold, with an empty memo.
+    pub fn new(checkpoint: &Checkpoint) -> Self {
+        Self {
+            model: checkpoint.restore(),
+            threshold: checkpoint.threshold,
+            memo: Mutex::new(HashMap::new()),
+            forward_passes: AtomicU64::new(0),
+        }
+    }
+
+    /// The restored model (read-only).
+    pub fn model(&self) -> &PicModel {
+        &self.model
+    }
+
+    /// The tuned classification threshold.
+    pub fn threshold(&self) -> f32 {
+        self.threshold
+    }
+
+    /// Forward passes [`predict`](Self::predict) has run, i.e. its memo
+    /// misses. Not part of [`PredictorStats`]: the inference budget counts
+    /// graphs predicted, hits included.
+    pub fn forward_passes(&self) -> u64 {
+        self.forward_passes.load(Ordering::Relaxed)
+    }
+
+    /// Predict a batch. The output is aligned with `graphs`, and each
+    /// prediction depends only on (weights, graph), never on the batch or
+    /// on earlier calls.
+    pub fn predict(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
+        // One scratch session per call, built at the first miss: every miss
+        // after it reuses the same buffers, and a call of hits builds none.
+        let mut session: Option<PicSession> = None;
+        graphs
+            .iter()
+            .map(|graph| {
+                let key = graph_fingerprint(graph);
+                let hit = self.memo.lock().get(&key).cloned();
+                let probs = hit.unwrap_or_else(|| {
+                    let mut probs = Vec::new();
+                    let session = session.get_or_insert_with(PicSession::new);
+                    self.model.forward_into(graph, session, &mut probs);
+                    self.forward_passes.fetch_add(1, Ordering::Relaxed);
+                    let mut memo = self.memo.lock();
+                    if memo.len() >= MEMO_CAP {
+                        memo.clear();
+                    }
+                    memo.insert(key, probs.clone());
+                    probs
+                });
+                self.coverage(graph, probs)
+            })
+            .collect()
+    }
+
+    /// Threshold `probs` into the prediction for `graph`.
+    fn coverage(&self, graph: &CtGraph, probs: Vec<f32>) -> PredictedCoverage {
+        let positive = probs.iter().map(|&p| p >= self.threshold).collect();
+        PredictedCoverage { graph: graph.clone(), probs, positive }
+    }
+}
+
+/// The deployable PIC predictor: a [`DeployedModel`] and the graph builder
+/// for the kernel it was deployed against.
+///
+/// Inference state (the model, the threshold, the counters) is
 /// encapsulated: predictions go through [`CoveragePredictor::predict_batch`]
 /// / [`CoveragePredictor::predict_one`], counters come back via
 /// [`CoveragePredictor::stats`], and the model/threshold are read-only
 /// through [`Pic::model`] and [`Pic::threshold`].
 pub struct Pic<'k> {
-    model: PicModel,
-    threshold: f32,
+    deployed: DeployedModel,
     builder: CtGraphBuilder<'k>,
-    /// Inferences performed (for inference-budget accounting, §5.3.1 caps
-    /// these at 1,600 per CTI). Atomic so shared references can predict
-    /// concurrently (see [`crate::predictor::ParallelPredictor`]).
+    /// Graphs predicted, memo hits included: the inference-budget count
+    /// (§5.3.1 caps it at 1,600 per CTI). Atomic so shared references can
+    /// predict concurrently (see [`crate::predictor::ParallelPredictor`]).
     inferences: AtomicU64,
     batches: AtomicU64,
     fingerprint: u64,
@@ -74,8 +166,7 @@ impl<'k> Pic<'k> {
     /// Deploy a checkpoint against a kernel image.
     pub fn new(checkpoint: &Checkpoint, kernel: &'k Kernel, cfg: &'k KernelCfg) -> Self {
         Self {
-            model: checkpoint.restore(),
-            threshold: checkpoint.threshold,
+            deployed: DeployedModel::new(checkpoint),
             builder: CtGraphBuilder::new(kernel, cfg),
             inferences: AtomicU64::new(0),
             batches: AtomicU64::new(0),
@@ -103,17 +194,23 @@ impl<'k> Pic<'k> {
 
     /// The restored model (read-only).
     pub fn model(&self) -> &PicModel {
-        &self.model
+        self.deployed.model()
     }
 
     /// The tuned classification threshold.
     pub fn threshold(&self) -> f32 {
-        self.threshold
+        self.deployed.threshold()
     }
 
-    /// Total inferences performed so far (same as `stats().inferences`).
+    /// Graphs predicted so far, memo hits included (same as
+    /// `stats().inferences`).
     pub fn inferences(&self) -> u64 {
         self.inferences.load(Ordering::Relaxed)
+    }
+
+    /// Forward passes run so far (see [`DeployedModel::forward_passes`]).
+    pub fn forward_passes(&self) -> u64 {
+        self.deployed.forward_passes()
     }
 
     /// Access the underlying graph builder.
@@ -144,19 +241,7 @@ impl CoveragePredictor for Pic<'_> {
     fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.inferences.fetch_add(graphs.len() as u64, Ordering::Relaxed);
-        // One session per batch: every graph after the first reuses the same
-        // scratch buffers and CSR arrays, so steady-state inference does not
-        // touch the allocator.
-        let mut session = PicSession::new();
-        graphs
-            .iter()
-            .map(|graph| {
-                let mut probs = Vec::new();
-                self.model.forward_into(graph, &mut session, &mut probs);
-                let positive = probs.iter().map(|&p| p >= self.threshold).collect();
-                PredictedCoverage { graph: graph.clone(), probs, positive }
-            })
-            .collect()
+        self.deployed.predict(graphs)
     }
 
     fn stats(&self) -> PredictorStats {
@@ -180,10 +265,10 @@ impl FlowPredictor for Pic<'_> {
     fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>) {
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.inferences.fetch_add(1, Ordering::Relaxed);
-        let (probs, cache) = self.model.forward_cached(graph);
-        let flows = self.model.forward_flows(graph, &cache);
-        let positive = probs.iter().map(|&p| p >= self.threshold).collect();
-        (PredictedCoverage { graph: graph.clone(), probs, positive }, flows)
+        let model = self.deployed.model();
+        let (probs, cache) = model.forward_cached(graph);
+        let flows = model.forward_flows(graph, &cache);
+        (self.deployed.coverage(graph, probs), flows)
     }
 }
 
@@ -262,6 +347,103 @@ mod tests {
             assert_eq!(one.positive, p.positive);
         }
         assert_eq!(pic.inferences(), 8, "4 batched + 4 single");
+    }
+
+    /// Assert `pred` is exactly [`PicModel::forward`] on `graph` plus the
+    /// threshold, probabilities compared bit for bit.
+    fn assert_exact(pic: &Pic<'_>, graph: &CtGraph, pred: &PredictedCoverage) {
+        let probs = pic.model().forward(graph);
+        let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&pred.probs), bits(&probs));
+        let positive: Vec<bool> = probs.iter().map(|&p| p >= pic.threshold()).collect();
+        assert_eq!(pred.positive, positive);
+        assert_eq!(&pred.graph, graph);
+    }
+
+    #[test]
+    fn memo_runs_one_forward_pass_per_distinct_graph() {
+        let k = generate(&GenConfig::default());
+        let cfg = KernelCfg::build(&k);
+        let mut fz = StiFuzzer::new(&k, 4);
+        fz.seed_each_syscall();
+        let corpus = fz.into_corpus();
+        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
+        let ck = Checkpoint::new(&model, 0.5, "t");
+        let pic = Pic::new(&ck, &k, &cfg);
+        let (a, b) = (&corpus[0], &corpus[1]);
+        let base = pic.base_graph(a, b);
+        let mut rng = rand::rngs::mock::StepRng::new(3, 29);
+        let graphs: Vec<CtGraph> = (0..16)
+            .map(|_| {
+                pic.candidate_graph(&base, a, b, &propose_hints(&mut rng, a.seq.steps, b.seq.steps))
+            })
+            .collect();
+
+        // First pass: a batch of 7, then one graph per call. Second pass:
+        // the whole pool in one batch, every graph a memo hit.
+        let mut preds = pic.predict_batch(&graphs[..7]);
+        preds.extend(graphs[7..].iter().map(|g| pic.predict_one(g)));
+        preds.extend(pic.predict_batch(&graphs));
+        for (g, p) in graphs.iter().chain(&graphs).zip(&preds) {
+            assert_exact(&pic, g, p);
+        }
+
+        let distinct: std::collections::HashSet<u64> =
+            graphs.iter().map(graph_fingerprint).collect();
+        assert_eq!(pic.forward_passes(), distinct.len() as u64);
+        assert_eq!(pic.inferences(), 32, "the inference budget counts memo hits");
+        assert_eq!(pic.stats().batches(), 11);
+    }
+
+    #[test]
+    fn memo_stays_bounded_and_exact_across_a_clear() {
+        let k = generate(&GenConfig::default());
+        let cfg = KernelCfg::build(&k);
+        let mut fz = StiFuzzer::new(&k, 5);
+        fz.seed_each_syscall();
+        let corpus = fz.into_corpus();
+        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
+        let ck = Checkpoint::new(&model, 0.5, "t");
+        let pic = Pic::new(&ck, &k, &cfg);
+
+        // More distinct graphs than the memo holds, drawn across CTIs.
+        let want = MEMO_CAP + 64;
+        let mut seen = std::collections::HashSet::new();
+        let mut graphs: Vec<CtGraph> = Vec::with_capacity(want);
+        let mut rng = rand::rngs::mock::StepRng::new(17, 0x9E37_79B9);
+        'pairs: for a in &corpus {
+            for b in &corpus {
+                let base = pic.base_graph(a, b);
+                for _ in 0..32 {
+                    let hints = propose_hints(&mut rng, a.seq.steps, b.seq.steps);
+                    let g = pic.candidate_graph(&base, a, b, &hints);
+                    if seen.insert(graph_fingerprint(&g)) {
+                        graphs.push(g);
+                        if graphs.len() == want {
+                            break 'pairs;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(graphs.len(), want, "corpus yields enough distinct graphs");
+
+        for chunk in graphs.chunks(64) {
+            for (g, p) in chunk.iter().zip(pic.predict_batch(chunk)) {
+                assert_exact(&pic, g, &p);
+            }
+            assert!(pic.deployed.memo.lock().len() <= MEMO_CAP);
+        }
+        assert_eq!(pic.forward_passes(), want as u64);
+        assert_eq!(pic.deployed.memo.lock().len(), want - MEMO_CAP, "cleared once when full");
+
+        // The first graphs went with the clear: predicting them again runs
+        // the model again, with the same result.
+        for (g, p) in graphs[..64].iter().zip(pic.predict_batch(&graphs[..64])) {
+            assert_exact(&pic, g, &p);
+        }
+        assert_eq!(pic.forward_passes(), want as u64 + 64);
+        assert_eq!(pic.inferences(), want as u64 + 64);
     }
 
     #[test]

@@ -97,13 +97,16 @@ impl PredictorStats {
         Self::default()
     }
 
-    /// Snapshot of a leaf predictor: `inferences` model evaluations over
+    /// Snapshot of a leaf predictor: `inferences` graphs predicted over
     /// `batches` batch calls, no cache or degradation activity.
     pub fn of_inference_counts(inferences: u64, batches: u64) -> Self {
         PredictorStats { inferences, batches, ..Self::default() }
     }
 
-    /// Model inferences actually performed (cache hits excluded).
+    /// Graphs the model predicted: the inference-budget count. Hits of the
+    /// deployed model's own memo are included; graphs a wrapper cache
+    /// ([`crate::predcache::CachedPredictor`]) answered never reach the
+    /// model and are excluded.
     pub fn inferences(&self) -> u64 {
         self.inferences
     }

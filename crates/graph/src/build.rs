@@ -213,10 +213,12 @@ impl<'k> CtGraphBuilder<'k> {
         hints: &ScheduleHints,
     ) -> CtGraph {
         let mut g = base.clone();
-        let mut index: HashMap<(u8, BlockId), u32> = HashMap::new();
-        for (i, v) in g.verts.iter().enumerate() {
-            index.insert((v.thread.0, v.block), i as u32);
-        }
+        // At most four endpoints to resolve, so scan the vertices rather
+        // than index them all; `build_base` makes each (thread, block)
+        // pair unique.
+        let vertex = |t: u8, b: BlockId| {
+            base.verts.iter().rposition(|v| v.thread.0 == t && v.block == b).map(|i| i as u32)
+        };
         let seqs = [seq_a, seq_b];
         let mut progress = [0u64, 0u64];
         let mut prev_src: Option<u32> = None;
@@ -226,10 +228,9 @@ impl<'k> CtGraphBuilder<'k> {
             let src_block = block_at(seqs[t as usize], sw.after);
             let dst_block = block_at(seqs[other as usize], progress[other as usize]);
             progress[t as usize] = sw.after;
-            if let (Some(&src), Some(&dst)) = (
-                src_block.and_then(|b| index.get(&(t, b))),
-                dst_block.and_then(|b| index.get(&(other, b))),
-            ) {
+            if let (Some(src), Some(dst)) =
+                (src_block.and_then(|b| vertex(t, b)), dst_block.and_then(|b| vertex(other, b)))
+            {
                 let to = if si == 1 { prev_src.unwrap_or(dst) } else { dst };
                 g.edges.push(Edge { from: src, to, kind: EdgeKind::Schedule });
                 // Mark the endpoint vertices (node-type enhancement, §6).

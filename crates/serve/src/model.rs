@@ -4,8 +4,10 @@
 //! construction, which would tie a long-lived server thread to a stack
 //! frame. Serving therefore splits the two roles: graph building stays on
 //! the campaign side (through [`snowcat_core::PredictorService`]), while the
-//! server owns a fully `'static` [`ModelEpoch`] — restored weights, tuned
-//! threshold, fingerprint — behind a [`SwapCell`].
+//! server owns a fully `'static` [`ModelEpoch`] — a
+//! [`snowcat_core::DeployedModel`] (restored weights, tuned threshold,
+//! prediction memo) and its fingerprint — behind a [`SwapCell`]. Each epoch
+//! starts with an empty memo, so no prediction crosses a swap.
 //!
 //! A swap replaces the `Arc<ModelEpoch>` under a write lock: flushes that
 //! already cloned the old `Arc` finish on the old weights, every later
@@ -14,9 +16,11 @@
 //! gate can roll a bad candidate back.
 
 use parking_lot::{Mutex, RwLock};
-use snowcat_core::{checkpoint_fingerprint, CoveragePredictor, PredictedCoverage, PredictorStats};
+use snowcat_core::{
+    checkpoint_fingerprint, CoveragePredictor, DeployedModel, PredictedCoverage, PredictorStats,
+};
 use snowcat_graph::CtGraph;
-use snowcat_nn::{urb_average_precision, Checkpoint, LabeledGraph, PicModel, PicSession};
+use snowcat_nn::{urb_average_precision, Checkpoint, LabeledGraph, PicModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -24,10 +28,11 @@ use std::sync::Arc;
 /// to predict is owned here, so a flush holding an `Arc<ModelEpoch>` is
 /// unaffected by concurrent swaps.
 pub struct ModelEpoch {
-    /// Restored weights.
-    pub model: PicModel,
-    /// Tuned classification threshold.
-    pub threshold: f32,
+    /// Restored weights and tuned threshold: the same memoizing forward
+    /// pass a direct `Pic` runs. Per-graph output depends only on (weights,
+    /// graph), never on batch composition, which is what makes arbitrary
+    /// server-side coalescing bit-identical to a direct call.
+    pub deployed: DeployedModel,
     /// Content fingerprint (same derivation as a direct `Pic` deployment,
     /// so caches keyed on the server see the same keys as caches keyed on
     /// the underlying model).
@@ -42,31 +47,11 @@ impl ModelEpoch {
     /// Snapshot a checkpoint into a serveable epoch.
     pub fn from_checkpoint(ck: &Checkpoint, epoch: u64) -> Self {
         Self {
-            model: ck.restore(),
-            threshold: ck.threshold,
+            deployed: DeployedModel::new(ck),
             fingerprint: checkpoint_fingerprint(ck),
             name: ck.name.clone(),
             epoch,
         }
-    }
-
-    /// Predict a batch — the exact computation of
-    /// [`snowcat_core::Pic::predict_batch`]: one scratch session for the
-    /// batch, `forward_into` per graph, threshold compare. Per-graph output
-    /// depends only on (weights, graph), never on batch composition, which
-    /// is what makes arbitrary server-side coalescing bit-identical to a
-    /// direct call.
-    pub fn predict(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        let mut session = PicSession::new();
-        graphs
-            .iter()
-            .map(|graph| {
-                let mut probs = Vec::new();
-                self.model.forward_into(graph, &mut session, &mut probs);
-                let positive = probs.iter().map(|&p| p >= self.threshold).collect();
-                PredictedCoverage { graph: graph.clone(), probs, positive }
-            })
-            .collect()
     }
 }
 
@@ -86,7 +71,7 @@ impl EpochPredictor {
 
 impl CoveragePredictor for EpochPredictor {
     fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        self.epoch.predict(graphs)
+        self.epoch.deployed.predict(graphs)
     }
 
     fn stats(&self) -> PredictorStats {

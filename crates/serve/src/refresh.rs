@@ -161,7 +161,7 @@ fn refresh_once(
     }
 
     let valid = gate.labeled();
-    let mut model = incumbent.model.clone();
+    let mut model = incumbent.deployed.model().clone();
     let tcfg = RobustTrainConfig::new(TrainConfig {
         epochs: rcfg.epochs.max(1),
         lr: rcfg.lr,
@@ -179,7 +179,8 @@ fn refresh_once(
     let base = incumbent.name.split("+r").next().unwrap_or(&incumbent.name);
     // Keep the incumbent's tuned threshold: AP gating is threshold-free
     // and the refresh set is too small to re-tune F2 meaningfully.
-    let candidate = Checkpoint::new(&model, incumbent.threshold, &format!("{base}+r{ordinal}"));
+    let candidate =
+        Checkpoint::new(&model, incumbent.deployed.threshold(), &format!("{base}+r{ordinal}"));
     if let Some(events) = server.events() {
         events.serve(ServeEvent::CandidateReady {
             ordinal,

@@ -148,7 +148,7 @@ impl Shared {
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.inferences.fetch_add(graphs.len() as u64, Ordering::Relaxed);
         let start = Instant::now();
-        let out = self.model.current().predict(graphs);
+        let out = self.model.current().deployed.predict(graphs);
         self.latency.record(start.elapsed().as_micros() as u64);
         out
     }
@@ -167,7 +167,7 @@ impl Shared {
             ParallelPredictor::new(EpochPredictor::new(epoch), self.cfg.workers)
                 .predict_batch(&graphs)
         } else {
-            epoch.predict(&graphs)
+            epoch.deployed.predict(&graphs)
         };
         debug_assert_eq!(preds.len(), graphs.len());
 
@@ -489,8 +489,8 @@ impl InferenceServer {
 
         if !gate.is_empty() {
             let installed = shared.model.current();
-            let candidate_ap = gate.ap(&installed.model).expect("gate non-empty");
-            let incumbent_ap = gate.ap(&incumbent.model).expect("gate non-empty");
+            let candidate_ap = gate.ap(installed.deployed.model()).expect("gate non-empty");
+            let incumbent_ap = gate.ap(incumbent.deployed.model()).expect("gate non-empty");
             if candidate_ap + gate.tolerance() < incumbent_ap {
                 shared.model.rollback();
                 shared.emit(ServeEvent::SwapRolledBack {

@@ -85,11 +85,14 @@ proptest! {
 
     /// Concurrent callers sending arbitrary request partitions through a
     /// server with arbitrary batching knobs get back exactly what a direct
-    /// serial `predict_batch` produces, request by request.
+    /// serial `predict_batch` produces, request by request. Request graphs
+    /// are drawn from a candidate pool with replacement, so both sides also
+    /// answer repeats from their prediction memos.
     #[test]
     fn served_predictions_are_bit_identical_to_direct(
         seed in 0u64..1_000,
         n in 1usize..20,
+        picks in proptest::collection::vec(0usize..64, 1..24),
         cuts in proptest::collection::vec(0usize..16, 0..8),
         max_batch in 1usize..12,
         wait_idx in 0usize..3,
@@ -99,7 +102,8 @@ proptest! {
         let max_wait_us = [0u64, 50, 2_000][wait_idx];
         let fx = fixture();
         let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
-        let graphs = random_graphs(&pic, &fx.corpus, seed, n);
+        let pool = random_graphs(&pic, &fx.corpus, seed, n);
+        let graphs: Vec<CtGraph> = picks.iter().map(|&i| pool[i % n].clone()).collect();
         let requests = partition(&graphs, &cuts);
         let direct: Vec<Vec<PredictedCoverage>> =
             requests.iter().map(|r| pic.predict_batch(r)).collect();
