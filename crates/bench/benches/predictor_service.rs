@@ -1,20 +1,20 @@
 //! Microbenchmark: the predictor service — serial vs parallel batched
-//! inference over a 64-candidate pool, and the memoizing cache on a
+//! inference over a 64-candidate pool, and the deployed model's memo on a
 //! repeated-CTI stream.
 //!
 //! The parallel/serial pair quantifies the ParallelPredictor speedup (the
 //! wrapper is bit-identical to serial inference, so any gap is pure win);
 //! each of their iterations deploys a fresh `Pic`, whose memo would
-//! otherwise answer every repeat of the pool. The cached row shows what
-//! content-addressed memoization buys when the exploration loop
-//! re-proposes schedules it has already scored. Cache hit rates are
-//! printed alongside the timings.
+//! otherwise answer every repeat of the pool. The warm row shows what the
+//! memo buys when the exploration loop re-proposes schedules it has
+//! already scored. Forward passes and inferences are printed alongside the
+//! timings.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_cfg::KernelCfg;
-use snowcat_core::{CachedPredictor, CoveragePredictor, ParallelPredictor, Pic};
+use snowcat_core::{CoveragePredictor, ParallelPredictor, Pic};
 use snowcat_corpus::StiFuzzer;
 use snowcat_graph::CtGraph;
 use snowcat_kernel::{generate, GenConfig};
@@ -58,21 +58,16 @@ fn bench_service(c: &mut Criterion) {
     });
 
     // Repeated-CTI stream: the same 64 candidates replayed each iteration.
-    // After the first (cold) batch every request is a cache hit, so the
+    // After the first (cold) batch every request is a memo hit, so the
     // steady-state timing measures lookup, not inference.
-    let cached = CachedPredictor::new(&pic, 1024);
-    cached.predict_batch(&pool); // warm
-    c.bench_function("predict_batch_64_cached_warm", |bch| {
-        bch.iter(|| cached.predict_batch(&pool))
-    });
+    pic.predict_batch(&pool); // warm
+    c.bench_function("predict_batch_64_memo_warm", |bch| bch.iter(|| pic.predict_batch(&pool)));
 
-    let stats = cached.stats();
     println!(
-        "\ncache [{}]: {} hits / {} misses ({:.1}% hit rate) over the warm stream",
-        cached.name(),
-        stats.cache_hits(),
-        stats.cache_misses(),
-        stats.hit_rate() * 100.0
+        "\nmemo [{}]: {} forward passes for {} inferences over the warm stream",
+        pic.name(),
+        pic.forward_passes(),
+        pic.inferences()
     );
 }
 

@@ -7,9 +7,9 @@ use snowcat_analysis::{analyze as run_analysis, Allowlist, Severity};
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{
     explore_mlpct, explore_pct, find_candidates, find_candidates_prefiltered, load_checkpoint,
-    reproduce, save_checkpoint, save_checkpoint_json, save_dataset, CachedPredictor, CostModel,
-    CoveragePredictor, ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService,
-    RacePrefilter, RazzerMode, S1NewBitmap, SnowcatError, StrategyKind,
+    reproduce, save_checkpoint, save_checkpoint_json, save_dataset, CostModel, CoveragePredictor,
+    ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService, RacePrefilter, RazzerMode,
+    S1NewBitmap, SnowcatError, StrategyKind,
 };
 use snowcat_corpus::{build_dataset, interacting_cti_pairs, DatasetConfig, StiFuzzer, StiProfile};
 use snowcat_events::{
@@ -455,10 +455,7 @@ pub fn explore(args: &Args) -> CmdResult {
     let explore_cfg = explore_cfg.with_inference_cap(1600);
     let budget = explore_cfg.exec_budget;
     let pic = Pic::new(&ck, &k, &cfg);
-    // Memoize inference: re-proposed schedules across the CTI stream are
-    // served from the cache instead of re-running the model.
-    let cached = CachedPredictor::new(&pic, 4096);
-    let service = PredictorService::with(&pic, &cached);
+    let service = PredictorService::direct(&pic);
     let mut strat = S1NewBitmap::new();
     let (mut pct_r, mut pct_e) = (0usize, 0u64);
     let (mut ml_r, mut ml_e, mut ml_i) = (0usize, 0u64, 0u64);
@@ -483,15 +480,11 @@ pub fn explore(args: &Args) -> CmdResult {
         "  MLPCT-S1 : {ml_r} races, {ml_e} executions, {ml_i} inferences (sim {:.0}s)",
         ml_e as f64 * 2.8 + ml_i as f64 * 0.015
     );
-    let ps = service.stats();
     println!(
-        "  predictor: {} via {}, {} model inferences, cache {}/{} hits ({:.0}% hit rate)",
-        cached.name(),
+        "  predictor: {}, {} graphs predicted, {} forward passes",
         pic.name(),
-        ps.inferences(),
-        ps.cache_hits(),
-        ps.cache_hits() + ps.cache_misses(),
-        ps.hit_rate() * 100.0
+        pic.inferences(),
+        pic.forward_passes()
     );
     println!(
         "  races per execution: PCT {:.2} vs MLPCT {:.2}",
@@ -655,7 +648,6 @@ pub fn campaign(args: &Args) -> CmdResult {
         "report",
         "events",
         "fail-on-hung",
-        "fail-on-degraded",
         "serve",
         "serve-batch",
         "serve-wait-us",
@@ -745,12 +737,7 @@ pub fn campaign(args: &Args) -> CmdResult {
         );
     }
     if let Some(stats) = &supervised.predictor_stats {
-        println!(
-            "predictor: {} batches, {} degraded, {} fallback predictions",
-            stats.batches(),
-            stats.degraded_batches(),
-            stats.fallback_predictions()
-        );
+        println!("predictor: {} batches, {} inferences", stats.batches(), stats.inferences());
     }
 
     if let Some(path) = args.get("report") {
@@ -766,16 +753,6 @@ pub fn campaign(args: &Args) -> CmdResult {
                 cti,
                 fuel: sup.fuel_budget.unwrap_or(setup.explore_cfg.fuel_budget),
             }));
-        }
-    }
-    if args.has_flag("fail-on-degraded") {
-        if let Some(stats) = &supervised.predictor_stats {
-            if stats.degraded_batches() > 0 {
-                return Err(Box::new(SnowcatError::PredictorDegraded {
-                    chain: supervised.result.label.clone(),
-                    degraded_batches: stats.degraded_batches(),
-                }));
-            }
         }
     }
     Ok(())
@@ -1542,7 +1519,7 @@ fn print_human_status(view: &StatusView) {
     let recs = &stream.records;
     let (mut ctis_total, mut label, mut seed) = (0u64, String::new(), 0u64);
     let (mut outcomes, mut races, mut blocks) = (0u64, 0u64, 0u64);
-    let (mut hangs, mut quarantined, mut degradations, mut checkpoints) = (0u64, 0u64, 0u64, 0u64);
+    let (mut hangs, mut quarantined, mut checkpoints) = (0u64, 0u64, 0u64);
     let (mut epochs, mut anomalies, mut rollbacks) = (0u64, 0u64, 0u64);
     let mut last_loss = None;
     let mut predictor = None;
@@ -1573,9 +1550,10 @@ fn print_human_status(view: &StatusView) {
                     blocks += new_blocks;
                     last_position = last_position.max(*position + 1);
                 }
-                CampaignEvent::PredictorBatch { .. } => predictor = Some(e.clone()),
+                CampaignEvent::PredictorBatch { batches, inferences } => {
+                    predictor = Some((*batches, *inferences));
+                }
                 CampaignEvent::PrefilterStats { .. } => prefilter = Some(e.clone()),
-                CampaignEvent::PredictorDegraded { .. } => degradations += 1,
                 CampaignEvent::HangDetected { .. } => hangs += 1,
                 CampaignEvent::Quarantined { .. } => quarantined += 1,
                 CampaignEvent::CheckpointWritten { .. } => checkpoints += 1,
@@ -1653,22 +1631,8 @@ fn print_human_status(view: &StatusView) {
             "  recovery : {hangs} hung attempts, {quarantined} quarantined CT pairs, \
              {checkpoints} checkpoints"
         );
-        if let Some(CampaignEvent::PredictorBatch {
-            inferences,
-            cache_hits,
-            cache_misses,
-            degraded_batches,
-            fallback_predictions,
-            ..
-        }) = &predictor
-        {
-            let looked = cache_hits + cache_misses;
-            let rate = if looked > 0 { *cache_hits as f64 / looked as f64 * 100.0 } else { 0.0 };
-            println!(
-                "  predictor: {inferences} inferences, cache {cache_hits}/{looked} \
-                 ({rate:.0}% hit rate), {degradations} degradations \
-                 ({degraded_batches} degraded batches, {fallback_predictions} fallbacks)"
-            );
+        if let Some((batches, inferences)) = predictor {
+            println!("  predictor: {batches} batches, {inferences} inferences");
         }
     }
     if let Some(CampaignEvent::PrefilterStats { vetoed, survivors, may_race_pairs, refined }) =

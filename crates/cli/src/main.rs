@@ -64,13 +64,13 @@ COMMANDS:
               --version V [--seed N] [--out FILE] [--self-check]
               [--coarse] [--baseline OLD.json]
   campaign  run a supervised testing campaign (watchdog, checkpoint/resume,
-            fault injection, graceful predictor degradation)
+            fault injection)
               --version V [--seed N] [--ctis N] [--budget B]
               [--explorer pct|s1|s2|s3] [--model FILE]
               [--checkpoint FILE] [--checkpoint-every K] [--resume FILE]
               [--fuel-budget STEPS] [--fault-plan SPEC] [--max-hours H]
               [--stall-ms MS] [--stop-after N] [--report FILE]
-              [--events DIR] [--fail-on-hung] [--fail-on-degraded]
+              [--events DIR] [--fail-on-hung]
               [--serve] [--serve-batch N] [--serve-wait-us U] [--serve-workers W]
               [--refresh PAIRS] [--refresh-epochs E] [--refresh-max R]
               [--refresh-gate PAIRS]
@@ -112,7 +112,6 @@ COMMANDS:
 EXIT CODES:
   0 success   1 I/O or parse error      2 bad usage / config
   3 CT hung   4 checkpoint corrupt
-  6 predictor degraded (with --fail-on-degraded)
   7 training diverged (anomaly persisted through every salted retry)
   8 fleet failed or degraded (every worker lost / lease expired / live
     workers below --min-workers; the SCFC checkpoint stays on disk —
@@ -155,9 +154,9 @@ fn main() {
     if let Err(e) = result {
         eprintln!("error: {e}");
         // Typed Snowcat errors carry distinct exit codes (hung CT = 3,
-        // corrupt checkpoint = 4, degraded = 6, …); an unknown option or an
-        // unparsable value is bad usage (2); anything else is a generic
-        // failure.
+        // corrupt checkpoint = 4, diverged training = 7, …); an unknown
+        // option or an unparsable value is bad usage (2); anything else is
+        // a generic failure.
         let code = if e.is::<args::ArgError>() {
             2
         } else {

@@ -58,14 +58,6 @@ pub enum SnowcatError {
         /// What the integrity check objected to.
         detail: String,
     },
-    /// The predictor chain degraded to the baseline fallback (reported when
-    /// the caller asked degradation to be fatal via `--fail-on-degraded`).
-    PredictorDegraded {
-        /// Description of the predictor chain that degraded.
-        chain: String,
-        /// How many batches fell back to the baseline.
-        degraded_batches: u64,
-    },
     /// Training hit an unrecoverable anomaly: an epoch kept producing
     /// NaN/Inf losses or gradient spikes through every salted retry.
     TrainingDiverged {
@@ -151,13 +143,6 @@ impl fmt::Display for SnowcatError {
             SnowcatError::CheckpointCorrupt { path, detail } => {
                 write!(f, "{}: checkpoint corrupt: {detail}", path.display())
             }
-            SnowcatError::PredictorDegraded { chain, degraded_batches } => {
-                write!(
-                    f,
-                    "predictor '{chain}' degraded: {degraded_batches} batch(es) fell back \
-                     to the baseline service"
-                )
-            }
             SnowcatError::TrainingDiverged { epoch, retries, cause } => {
                 write!(
                     f,
@@ -201,15 +186,14 @@ impl fmt::Display for SnowcatError {
 impl SnowcatError {
     /// Stable, documented process exit code for each failure class (the CLI
     /// maps errors through this so scripts can distinguish fault kinds).
-    /// Code 5 is retired (it belonged to a removed parallel-runner error)
-    /// and is not reused.
+    /// Codes 5 and 6 are retired (they belonged to a removed parallel-runner
+    /// error and a removed predictor-degradation error) and are not reused.
     pub fn exit_code(&self) -> i32 {
         match self {
             SnowcatError::Io { .. } | SnowcatError::Parse { .. } => 1,
             SnowcatError::Config(_) | SnowcatError::FaultPlan { .. } => 2,
             SnowcatError::ExecutionHung { .. } => 3,
             SnowcatError::CheckpointCorrupt { .. } => 4,
-            SnowcatError::PredictorDegraded { .. } => 6,
             SnowcatError::TrainingDiverged { .. } => 7,
             SnowcatError::FleetFailed { .. }
             | SnowcatError::WorkerLost { .. }

@@ -22,7 +22,6 @@
 //! * [`predictor`] — the unified [`predictor::CoveragePredictor`] service:
 //!   batched inference, Table-1 baselines, a parallel worker-pool wrapper
 //!   and the [`predictor::PredictorService`] bundle,
-//! * [`predcache`] — content-addressed prediction memoization,
 //! * [`error`] — [`error::SnowcatError`] and checkpoint/dataset I/O helpers.
 
 #![forbid(unsafe_code)]
@@ -34,7 +33,6 @@ pub mod error;
 pub mod mlpct;
 pub mod pic;
 pub mod pipeline;
-pub mod predcache;
 pub mod predictor;
 pub mod prefilter;
 pub mod razzer;
@@ -49,13 +47,12 @@ pub use error::{
     load_checkpoint, load_dataset, save_checkpoint, save_checkpoint_json, save_dataset,
     SnowcatError, MIN_MODEL_VERSION, MODEL_MAGIC, MODEL_VERSION,
 };
-pub use mlpct::{explore_mlpct, explore_pct, explore_pct_native, ExploreConfig, ExploreOutcome};
+pub use mlpct::{explore_mlpct, explore_pct, ExploreConfig, ExploreOutcome};
 pub use pic::{checkpoint_fingerprint, DeployedModel, Pic, PredictedCoverage};
 pub use pipeline::{
     as_flow_labeled, as_labeled, collect_data, fine_tune, pretrain_encoder, train_on,
     train_on_with_flows, train_pic, CollectedData, PipelineConfig, PipelineOutput, PipelineSummary,
 };
-pub use predcache::CachedPredictor;
 pub use predictor::{
     graph_fingerprint, BaselineService, CoveragePredictor, FlowPredictor, ParallelPredictor,
     PredictorService, PredictorStats,

@@ -160,59 +160,12 @@ pub fn explore_pct(
     outcome
 }
 
-/// Explore a CTI with the *native* PCT scheduler (random priorities +
-/// priority-change points at instruction granularity), instead of 2-switch
-/// hint schedules. This is how the original SKI drives exploration when no
-/// hint encoding is needed; it is exposed for fidelity studies — the
-/// campaign experiments use the hint-based family so that PCT and MLPCT
-/// draw candidates from the same distribution.
-pub fn explore_pct_native(
-    kernel: &Kernel,
-    a: &StiProfile,
-    b: &StiProfile,
-    cfg: &ExploreConfig,
-    depth: usize,
-) -> ExploreOutcome {
-    use snowcat_vm::{PctScheduler, Vm};
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let detector = RaceDetector::default();
-    let seq_cov = seq_union(kernel, a, b);
-    let expected_len = a.seq.steps + b.seq.steps;
-    let mut outcome = ExploreOutcome {
-        executions: 0,
-        inferences: 0,
-        races: Vec::new(),
-        bugs: Vec::new(),
-        sched_dep_blocks: BitSet::new(kernel.num_blocks()),
-        hangs: 0,
-        crashes: 0,
-    };
-    let mut seen_races = HashSet::new();
-    for _ in 0..cfg.exec_budget {
-        let mut sched = PctScheduler::new(&mut rng, 2, expected_len, depth);
-        let vm = Vm::new(kernel, vec![a.sti.clone(), b.sti.clone()], cfg.vm_config());
-        let r = vm.run(&mut sched);
-        outcome.executions += 1;
-        outcome.hangs += u64::from(r.hung());
-        outcome.crashes += u64::from(r.crashed());
-        for report in detector.detect(kernel, &r) {
-            if seen_races.insert(report.key) {
-                outcome.races.push(report);
-            }
-        }
-        outcome.bugs.extend(r.unique_bugs());
-        outcome.sched_dep_blocks.union_with(&r.coverage.difference(&seq_cov));
-    }
-    outcome.bugs.sort_unstable();
-    outcome.bugs.dedup();
-    outcome
-}
-
 /// Explore a CTI with MLPCT: same proposal stream, but only candidates the
 /// strategy selects (based on the predicted coverage) are executed.
 ///
 /// Predictions go through the [`PredictorService`]'s inference chain, so
-/// callers can route them through a cache or a worker pool transparently.
+/// callers can route them through a worker pool or an inference server
+/// transparently.
 pub fn explore_mlpct(
     kernel: &Kernel,
     service: &PredictorService<'_, '_>,
@@ -313,18 +266,6 @@ mod tests {
         assert!(out.executions <= 8);
         assert!(out.inferences <= 60);
         assert!(out.inferences >= out.executions, "every execution was predicted first");
-    }
-
-    #[test]
-    fn native_pct_exploration_finds_coverage() {
-        let (k, _, corpus) = setup();
-        let cfg = ExploreConfig { exec_budget: 8, ..Default::default() };
-        let out = explore_pct_native(&k, &corpus[0], &corpus[1], &cfg, 3);
-        assert_eq!(out.executions, 8);
-        assert_eq!(out.inferences, 0);
-        // Deterministic given seed.
-        let out2 = explore_pct_native(&k, &corpus[0], &corpus[1], &cfg, 3);
-        assert_eq!(out.race_keys(), out2.race_keys());
     }
 
     #[test]

@@ -64,9 +64,10 @@ impl PredictedCoverage {
 /// and the inference server's model epochs.
 ///
 /// Predictions are memoized on [`graph_fingerprint`], so each distinct graph
-/// pays for one forward pass. A CT graph places switch points at block
-/// granularity and does not encode which thread starts, so MLPCT proposes
-/// many schedules with the same graph. The memo keeps probabilities only
+/// pays for one forward pass. Every MLPCT proposal starts thread 0 and a CT
+/// graph places switch points at block granularity, so two proposals whose
+/// switch points fall in the same blocks give the same graph, and MLPCT
+/// proposes many schedules per graph. The memo keeps probabilities only
 /// (the threshold is applied on every call), is cleared when it reaches
 /// `MEMO_CAP` (2,048) entries, and is locked for a lookup or an insert, never
 /// across a forward pass. A hit is bit-identical to a fresh forward pass,
@@ -272,10 +273,11 @@ impl FlowPredictor for Pic<'_> {
     }
 }
 
-/// Content fingerprint of a checkpoint, used to key prediction caches: two
-/// deployments of the same trained model agree, different trainings (almost
-/// surely) differ. Hashes the provenance name, the threshold, the model
-/// hyperparameters and a prefix of the learned token embedding.
+/// Content fingerprint of a checkpoint, reported by
+/// [`CoveragePredictor::fingerprint`]: two deployments of the same trained
+/// model agree, different trainings (almost surely) differ. Hashes the
+/// provenance name, the threshold, the model hyperparameters and a prefix of
+/// the learned token embedding.
 pub fn checkpoint_fingerprint(ck: &Checkpoint) -> u64 {
     let mut h = fnv1a(0xcbf2_9ce4_8422_2325, ck.name.as_bytes());
     h = fnv1a(h, &ck.threshold.to_bits().to_le_bytes());

@@ -14,13 +14,13 @@
 //! * [`BaselineService`] — the Table-1 baselines (all-positive, fair coin,
 //!   biased coin), deterministic per graph,
 //! * [`ParallelPredictor`] — fans a batch out over a scoped worker pool with
-//!   work stealing; results are bit-identical to serial evaluation,
-//! * [`crate::predcache::CachedPredictor`] — content-addressed memoization.
+//!   work stealing; results are bit-identical to serial evaluation.
 //!
-//! The wrappers compose: `CachedPredictor<ParallelPredictor<&Pic>>` caches
-//! batched parallel inference. [`PredictorService`] bundles a predictor
-//! chain with the graph-building [`Pic`] so workflow code can go from (CTI,
-//! scheduling hints) to predictions in one call.
+//! Memoization is not a wrapper: the deployed model under [`Pic`] (and
+//! under the inference server's model epochs) runs one forward pass per
+//! distinct graph. [`PredictorService`] bundles a predictor chain with the
+//! graph-building [`Pic`] so workflow code can go from (CTI, scheduling
+//! hints) to predictions in one call.
 
 use crate::pic::{Pic, PredictedCoverage};
 use rand::SeedableRng;
@@ -71,19 +71,14 @@ pub fn graph_fingerprint(g: &CtGraph) -> u64 {
 ///
 /// The fields are private and the struct is `#[non_exhaustive]`: consumers
 /// read counters through accessors ([`batches`](Self::batches),
-/// [`cache_hits`](Self::cache_hits), …) and wrapper predictors compose
-/// snapshots through the `with_*`/`add_*` builders, so future exporters can
-/// add counters without breaking downstream code.
+/// [`inferences`](Self::inferences), …) and the serving wrapper merges its
+/// counters through [`add_serving`](Self::add_serving), so future exporters
+/// can add counters without breaking downstream code.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PredictorStats {
     pub(crate) inferences: u64,
     pub(crate) batches: u64,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) cache_evictions: u64,
-    pub(crate) degraded_batches: u64,
-    pub(crate) fallback_predictions: u64,
     pub(crate) queue_depth_max: u64,
     pub(crate) coalesced_graphs: u64,
     pub(crate) server_flushes: u64,
@@ -98,15 +93,13 @@ impl PredictorStats {
     }
 
     /// Snapshot of a leaf predictor: `inferences` graphs predicted over
-    /// `batches` batch calls, no cache or degradation activity.
+    /// `batches` batch calls, no serving activity.
     pub fn of_inference_counts(inferences: u64, batches: u64) -> Self {
         PredictorStats { inferences, batches, ..Self::default() }
     }
 
     /// Graphs the model predicted: the inference-budget count. Hits of the
-    /// deployed model's own memo are included; graphs a wrapper cache
-    /// ([`crate::predcache::CachedPredictor`]) answered never reach the
-    /// model and are excluded.
+    /// deployed model's memo are included.
     pub fn inferences(&self) -> u64 {
         self.inferences
     }
@@ -114,52 +107,6 @@ impl PredictorStats {
     /// `predict_batch` calls on the outermost predictor.
     pub fn batches(&self) -> u64 {
         self.batches
-    }
-
-    /// Prediction requests served without an inference.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
-    }
-
-    /// Prediction requests that had to run an inference.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses
-    }
-
-    /// Cached predictions dropped to respect the cache capacity.
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache_evictions
-    }
-
-    /// Batches that failed (panic or latency-budget violation) and were
-    /// served by the degradation fallback instead.
-    pub fn degraded_batches(&self) -> u64 {
-        self.degraded_batches
-    }
-
-    /// Individual predictions produced by the fallback predictor.
-    pub fn fallback_predictions(&self) -> u64 {
-        self.fallback_predictions
-    }
-
-    /// Replace the batch count: a wrapper reports *its* batch calls, not
-    /// the inner predictor's.
-    pub fn with_batches(mut self, batches: u64) -> Self {
-        self.batches = batches;
-        self
-    }
-
-    /// Merge cache-layer counters on top of the inner snapshot.
-    pub fn add_cache_activity(&mut self, hits: u64, misses: u64, evictions: u64) {
-        self.cache_hits += hits;
-        self.cache_misses += misses;
-        self.cache_evictions += evictions;
-    }
-
-    /// Merge degradation-layer counters on top of the inner snapshot.
-    pub fn add_degradation(&mut self, degraded_batches: u64, fallback_predictions: u64) {
-        self.degraded_batches += degraded_batches;
-        self.fallback_predictions += fallback_predictions;
     }
 
     /// Deepest the serving queue has been, in pending graphs (0 when no
@@ -209,17 +156,6 @@ impl PredictorStats {
         self.flush_capacity += flush_capacity;
         self.shed_requests += shed;
     }
-
-    /// Fraction of cache-mediated requests served from the cache
-    /// (0.0 when no cache is in the chain).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
 }
 
 /// A coverage predictor: CT graphs in, per-vertex coverage predictions out.
@@ -235,11 +171,12 @@ pub trait CoveragePredictor: Sync {
     /// Counter snapshot for the whole predictor chain.
     fn stats(&self) -> PredictorStats;
 
-    /// Content fingerprint of the underlying model (for cache keying);
-    /// wrappers forward to the predictor that actually infers.
+    /// Content fingerprint of the model that answers: it tells checkpoints
+    /// (and so the epochs of a hot-swapped server) apart. Wrappers forward
+    /// to the predictor that actually infers.
     fn fingerprint(&self) -> u64;
 
-    /// Human-readable name of the chain ("PIC-5", "cached(parallel(PIC-5))").
+    /// Human-readable name of the chain ("PIC-5", "parallel4(PIC-5)").
     fn name(&self) -> String;
 
     /// Predict coverage for a single CT graph.
@@ -432,7 +369,7 @@ impl<P: CoveragePredictor> CoveragePredictor for ParallelPredictor<P> {
 /// Graph construction + a predictor chain, bundled so workflow code can go
 /// from (CTI, scheduling hints) straight to predictions. The [`Pic`] side
 /// builds graphs; the [`CoveragePredictor`] side — by default the same
-/// `Pic`, optionally a cached/parallel chain around it — infers.
+/// `Pic`, optionally a parallel pool or a server handle around it — infers.
 #[derive(Clone, Copy)]
 pub struct PredictorService<'a, 'k> {
     pic: &'a Pic<'k>,
@@ -591,9 +528,11 @@ mod tests {
         let cfg = KernelCfg::build(&k);
         let (graphs, ck) = setup_graphs(9);
         let pic = Pic::new(&ck, &k, &cfg);
-        let serial = pic.predict_batch(&graphs);
+        // Parallel first, so its workers run the forward passes and the
+        // serial batch reads their memo entries.
         let par = ParallelPredictor::new(&pic, 4);
         let parallel = par.predict_batch(&graphs);
+        let serial = pic.predict_batch(&graphs);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.graph, p.graph);
@@ -601,7 +540,7 @@ mod tests {
             assert_eq!(s.positive, p.positive);
         }
         let stats = par.stats();
-        assert_eq!(stats.inferences, 18, "9 serial + 9 parallel on the shared Pic");
+        assert_eq!(stats.inferences, 18, "9 parallel + 9 serial on the shared Pic");
         assert_eq!(stats.batches, 1);
         assert_eq!(par.fingerprint(), pic.fingerprint());
     }

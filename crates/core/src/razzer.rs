@@ -87,7 +87,7 @@ fn urb_set(cfg: &KernelCfg, profile: &StiProfile) -> BitSet {
 ///
 /// `Pic`/`PicFlow` modes require a [`PredictorService`]; the per-candidate
 /// schedule pool is predicted as one batch, so the service's inference
-/// chain (parallel pool, cache) is exercised end to end.
+/// chain (parallel pool or server handle) is exercised end to end.
 pub fn find_candidates(
     kernel: &Kernel,
     cfg: &KernelCfg,

@@ -21,7 +21,7 @@ use snowcat_kernel::{InstrLoc, Kernel, ThreadId};
 use snowcat_race::match_planted_bug;
 use snowcat_race::RaceDetector;
 use snowcat_vm::{run_ct, Cti, ScheduleHints, SwitchPoint, VmConfig};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// An INS-PAIR cluster key: a write instruction and a read instruction that
 /// touched the same address in the constituent STIs' sequential runs.
@@ -44,12 +44,14 @@ pub struct ClusterMember {
     pub write_step: u64,
 }
 
-/// INS-PAIR clustering of a CTI list.
+/// INS-PAIR clustering of a CTI list. Clusters come back ordered by key, so
+/// a caller that walks them (and seeds per-cluster work by position) sees
+/// the same order in every process.
 pub fn cluster_ctis(
     corpus: &[StiProfile],
     ctis: &[(usize, usize)],
-) -> HashMap<InsPair, Vec<ClusterMember>> {
-    let mut clusters: HashMap<InsPair, Vec<ClusterMember>> = HashMap::new();
+) -> BTreeMap<InsPair, Vec<ClusterMember>> {
+    let mut clusters: BTreeMap<InsPair, Vec<ClusterMember>> = BTreeMap::new();
     for &(ia, ib) in ctis {
         // Orientation 1: writes from a, reads from b; orientation 2 swapped.
         for (wi, ri) in [(ia, ib), (ib, ia)] {
@@ -291,6 +293,8 @@ mod tests {
         let ctis: Vec<(usize, usize)> = (0..7).map(|i| (i, i + 1)).collect();
         let clusters = cluster_ctis(&corpus, &ctis);
         assert!(!clusters.is_empty(), "subsystem syscalls share flags/objects");
+        let keys: Vec<InsPair> = clusters.keys().copied().collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "clusters come back in ascending key order");
         for (key, members) in &clusters {
             assert!(!members.is_empty());
             // The write instruction must actually be a write in the writer's

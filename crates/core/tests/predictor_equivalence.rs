@@ -1,14 +1,14 @@
 //! Property tests for the predictor service: every wrapper in the
 //! [`CoveragePredictor`] chain must be *bit-identical* to serial [`Pic`]
 //! inference — parallelism and memoization are pure performance features,
-//! never behavioural ones — and the cache must stay correct under
-//! concurrent use.
+//! never behavioural ones — and the deployed model's memo must stay correct
+//! under concurrent use.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_cfg::KernelCfg;
-use snowcat_core::{CachedPredictor, CoveragePredictor, ParallelPredictor, Pic};
+use snowcat_core::{CoveragePredictor, ParallelPredictor, Pic};
 use snowcat_corpus::{StiFuzzer, StiProfile};
 use snowcat_graph::CtGraph;
 use snowcat_kernel::{generate, GenConfig, Kernel};
@@ -73,111 +73,78 @@ proptest! {
 
     /// ParallelPredictor is bit-identical to serial Pic inference for any
     /// worker count and batch size, including empty and single-item batches.
+    /// The parallel side gets its own `Pic`, so its workers run forward
+    /// passes instead of reading the serial side's memo.
     #[test]
     fn parallel_matches_serial(seed in 0u64..1_000, workers in 1usize..8, n in 0usize..24) {
         let fx = fixture();
         let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
         let graphs = random_graphs(&pic, &fx.corpus, seed, n);
         let serial = pic.predict_batch(&graphs);
-        let par = ParallelPredictor::new(&pic, workers);
+        let fresh = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+        let par = ParallelPredictor::new(&fresh, workers);
         let parallel = par.predict_batch(&graphs);
         assert_bit_identical("parallel", &serial, &parallel);
     }
-
-    /// CachedPredictor returns bit-identical predictions for any capacity
-    /// (including capacities far smaller than the working set, which force
-    /// evictions mid-stream) and any repetition pattern.
-    #[test]
-    fn cached_matches_serial(
-        seed in 0u64..1_000,
-        capacity in 1usize..48,
-        pool in 1usize..12,
-        picks in proptest::collection::vec(0usize..12, 0..40),
-    ) {
-        let fx = fixture();
-        let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
-        let pool_graphs = random_graphs(&pic, &fx.corpus, seed, pool);
-        let stream: Vec<CtGraph> =
-            picks.iter().map(|&i| pool_graphs[i % pool].clone()).collect();
-        let serial = pic.predict_batch(&stream);
-        let cached = CachedPredictor::new(&pic, capacity);
-        // Feed the stream in two halves so the second half replays cached
-        // entries from the first.
-        let mid = stream.len() / 2;
-        let mut out = cached.predict_batch(&stream[..mid]);
-        out.extend(cached.predict_batch(&stream[mid..]));
-        assert_bit_identical("cached", &serial, &out);
-        prop_assert!(cached.len() <= capacity, "cache exceeded capacity");
-        let st = cached.stats();
-        prop_assert_eq!(st.cache_hits() + st.cache_misses(), stream.len() as u64);
-    }
-
-    /// The full composed chain — cache over a parallel pool over the Pic —
-    /// is still bit-identical to serial inference.
-    #[test]
-    fn cached_parallel_chain_matches_serial(
-        seed in 0u64..1_000,
-        workers in 1usize..6,
-        n in 0usize..20,
-    ) {
-        let fx = fixture();
-        let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
-        let graphs = random_graphs(&pic, &fx.corpus, seed, n);
-        let serial = pic.predict_batch(&graphs);
-        let par = ParallelPredictor::new(&pic, workers);
-        let chain = CachedPredictor::new(&par, 64);
-        let first = chain.predict_batch(&graphs);
-        assert_bit_identical("chain (cold)", &serial, &first);
-        // Replay: everything must now come from the cache, still identical.
-        let second = chain.predict_batch(&graphs);
-        assert_bit_identical("chain (warm)", &serial, &second);
-    }
 }
 
-/// Many threads hammering one shared cache concurrently: every thread must
-/// observe predictions bit-identical to serial inference, and the counters
-/// must account for every request.
+/// Many threads predicting through one shared `Pic`: every prediction must
+/// be bit-identical to one from a separate reference `Pic`, the inference
+/// count must account for every request, and the memo must save forward
+/// passes.
 #[test]
-fn concurrent_cache_is_correct_under_contention() {
+fn concurrent_memo_is_correct_under_contention() {
     let fx = fixture();
+    let reference = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let pool = random_graphs(&reference, &fx.corpus, 0xC0DE, 12);
+    let expected = reference.predict_batch(&pool);
+    let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
-    let pool = random_graphs(&pic, &fx.corpus, 0xC0DE, 12);
-    let serial = pic.predict_batch(&pool);
-    // Capacity smaller than the pool: threads race on insert *and* evict.
-    let cached = CachedPredictor::new(&pic, 8);
     let n_threads = 8;
     let rounds = 6;
-    std::thread::scope(|s| {
-        for t in 0..n_threads {
-            let cached = &cached;
-            let pool = &pool;
-            let serial = &serial;
-            s.spawn(move || {
-                let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF ^ t as u64);
-                use rand::Rng;
-                for _ in 0..rounds {
-                    // Each round predicts a random slice of the pool in a
-                    // random order, mixing batched and single calls.
-                    let mut idx: Vec<usize> = (0..pool.len()).collect();
-                    for i in (1..idx.len()).rev() {
-                        idx.swap(i, rng.gen_range(0..=i));
+    let requests: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..n_threads)
+            .map(|t| {
+                let (pic, pool, expected) = (&pic, &pool, &expected);
+                s.spawn(move || {
+                    let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF ^ t as u64);
+                    use rand::Rng;
+                    let mut requests = 0u64;
+                    for _ in 0..rounds {
+                        // Each round predicts a random slice of the pool in a
+                        // random order, mixing batched and single calls.
+                        let mut idx: Vec<usize> = (0..pool.len()).collect();
+                        for i in (1..idx.len()).rev() {
+                            idx.swap(i, rng.gen_range(0..=i));
+                        }
+                        let take = rng.gen_range(1..=pool.len());
+                        let batch: Vec<CtGraph> =
+                            idx[..take].iter().map(|&i| pool[i].clone()).collect();
+                        let preds = pic.predict_batch(&batch);
+                        for (&i, p) in idx[..take].iter().zip(&preds) {
+                            assert_eq!(bits(&p.probs), bits(&expected[i].probs), "thread {t}");
+                            assert_eq!(p.positive, expected[i].positive, "thread {t}");
+                        }
+                        let lone = rng.gen_range(0..pool.len());
+                        let p = pic.predict_one(&pool[lone]);
+                        assert_eq!(
+                            bits(&p.probs),
+                            bits(&expected[lone].probs),
+                            "thread {t} (single)"
+                        );
+                        requests += take as u64 + 1;
                     }
-                    let take = rng.gen_range(1..=pool.len());
-                    let batch: Vec<CtGraph> =
-                        idx[..take].iter().map(|&i| pool[i].clone()).collect();
-                    let preds = cached.predict_batch(&batch);
-                    for (&i, p) in idx[..take].iter().zip(&preds) {
-                        assert_eq!(p.probs, serial[i].probs, "thread {t}");
-                        assert_eq!(p.positive, serial[i].positive, "thread {t}");
-                    }
-                    let lone = rng.gen_range(0..pool.len());
-                    let p = cached.predict_one(&pool[lone]);
-                    assert_eq!(p.probs, serial[lone].probs, "thread {t} (single)");
-                }
-            });
-        }
+                    requests
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().expect("predicting thread panicked")).sum()
     });
-    let st = cached.stats();
-    assert!(st.cache_hits() > 0, "contended run should produce hits");
-    assert!(cached.len() <= 8, "cache exceeded capacity after contention");
+    assert_eq!(pic.inferences(), requests, "every request counts against the budget");
+    assert!(
+        pic.forward_passes() < pic.inferences(),
+        "contended run should hit the memo: {} forward passes for {} inferences",
+        pic.forward_passes(),
+        pic.inferences()
+    );
 }

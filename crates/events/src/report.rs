@@ -13,6 +13,13 @@ use serde::{Deserialize, Serialize};
 pub const REPORT_SCHEMA_VERSION: u16 = 1;
 
 /// Predictor-chain counters as carried in a report.
+///
+/// Only `inferences` and `batches` have a source. The five cache and
+/// degradation fields (`cache_hits`, `cache_misses`, `cache_evictions`,
+/// `degraded_batches`, `fallback_predictions`) are always 0: nothing in the
+/// tree memoizes above the deployed model or degrades to a fallback. They
+/// stay so that schema-v1 reports keep their bytes, and with them the report
+/// digests snowbench pins; dropping them is a schema-v2 change.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PredictorCounters {
     pub inferences: u64,

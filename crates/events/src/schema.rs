@@ -36,19 +36,9 @@ pub enum CampaignEvent {
     },
     /// Wall-clock spent in a named campaign stage.
     StageTiming { stage: String, micros: u64 },
-    /// Cumulative predictor-chain counters (batches, cache, degradation).
-    PredictorBatch {
-        batches: u64,
-        inferences: u64,
-        cache_hits: u64,
-        cache_misses: u64,
-        cache_evictions: u64,
-        degraded_batches: u64,
-        fallback_predictions: u64,
-    },
-    /// A `ResilientPredictor` served a batch from the fallback (or tripped
-    /// its breaker and degraded permanently).
-    PredictorDegraded { reason: String, permanent: bool },
+    /// Cumulative predictor-chain counters: `predict_batch` calls and graphs
+    /// predicted.
+    PredictorBatch { batches: u64, inferences: u64 },
     /// A checkpoint was persisted (and the previous one rotated to `.prev`).
     CheckpointWritten { path: String, position: u64, ordinal: u64, rotated: bool },
     /// An execution attempt hung (watchdog fired) and will be retried.
@@ -284,7 +274,6 @@ impl Event {
                 CampaignEvent::ExecutionOutcome { .. } => "campaign.execution",
                 CampaignEvent::StageTiming { .. } => "campaign.stage",
                 CampaignEvent::PredictorBatch { .. } => "campaign.predictor_batch",
-                CampaignEvent::PredictorDegraded { .. } => "campaign.predictor_degraded",
                 CampaignEvent::CheckpointWritten { .. } => "campaign.checkpoint",
                 CampaignEvent::HangDetected { .. } => "campaign.hang",
                 CampaignEvent::Quarantined { .. } => "campaign.quarantine",

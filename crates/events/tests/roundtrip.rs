@@ -20,7 +20,7 @@ fn arb_opt_u64() -> impl Strategy<Value = Option<u64>> {
 
 fn arb_campaign() -> impl Strategy<Value = CampaignEvent> {
     (
-        0usize..12,
+        0usize..11,
         arb_string(),
         (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
         (0u64..64, 0u64..64, 0u64..10_000),
@@ -40,32 +40,23 @@ fn arb_campaign() -> impl Strategy<Value = CampaignEvent> {
                 latency_us: c,
             },
             2 => CampaignEvent::StageTiming { stage: text, micros: a },
-            3 => CampaignEvent::PredictorBatch {
-                batches: a,
-                inferences: b,
-                cache_hits: c,
-                cache_misses: x,
-                cache_evictions: y,
-                degraded_batches: z,
-                fallback_predictions: x,
-            },
-            4 => CampaignEvent::PredictorDegraded { reason: text, permanent: flag },
-            5 => CampaignEvent::CheckpointWritten {
+            3 => CampaignEvent::PredictorBatch { batches: a, inferences: b },
+            4 => CampaignEvent::CheckpointWritten {
                 path: text,
                 position: a,
                 ordinal: b,
                 rotated: flag,
             },
-            6 => CampaignEvent::HangDetected { position: a, attempt: z, injected: flag },
-            7 => CampaignEvent::Quarantined { position: a, ct_a: x, ct_b: y, attempts: z },
-            8 => CampaignEvent::FaultInjected { entry: text, position: a },
-            9 => CampaignEvent::PrefilterStats {
+            5 => CampaignEvent::HangDetected { position: a, attempt: z, injected: flag },
+            6 => CampaignEvent::Quarantined { position: a, ct_a: x, ct_b: y, attempts: z },
+            7 => CampaignEvent::FaultInjected { entry: text, position: a },
+            8 => CampaignEvent::PrefilterStats {
                 vetoed: a,
                 survivors: b,
                 may_race_pairs: c,
                 refined: flag,
             },
-            10 => CampaignEvent::Finished {
+            9 => CampaignEvent::Finished {
                 label: text,
                 executions: a,
                 inferences: b,
@@ -216,19 +207,7 @@ fn one_of_each() -> Vec<Event> {
             latency_us: 130,
         }),
         Event::Campaign(CampaignEvent::StageTiming { stage: "select".into(), micros: 12 }),
-        Event::Campaign(CampaignEvent::PredictorBatch {
-            batches: 1,
-            inferences: 8,
-            cache_hits: 3,
-            cache_misses: 5,
-            cache_evictions: 0,
-            degraded_batches: 0,
-            fallback_predictions: 0,
-        }),
-        Event::Campaign(CampaignEvent::PredictorDegraded {
-            reason: "batch panicked".into(),
-            permanent: false,
-        }),
+        Event::Campaign(CampaignEvent::PredictorBatch { batches: 1, inferences: 8 }),
         Event::Campaign(CampaignEvent::CheckpointWritten {
             path: "c.ckpt".into(),
             position: 3,

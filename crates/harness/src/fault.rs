@@ -1,12 +1,11 @@
 //! Deterministic fault injection for recovery-path testing.
 //!
 //! A [`FaultPlan`] describes, reproducibly, which faults to inject where:
-//! executor hangs at chosen stream positions, predictor failures at a fixed
-//! batch cadence, and checkpoint corruption at chosen write ordinals. Plans
-//! parse from a compact spec string so the CLI can take them on the command
-//! line (`--fault-plan "hang@3x2,pred@5,ckpt@2:flip"`), and an empty plan
-//! injects nothing — the supervised campaign is then the plain paper
-//! campaign.
+//! executor hangs at chosen stream positions and checkpoint corruption at
+//! chosen write ordinals. Plans parse from a compact spec string so the CLI
+//! can take them on the command line (`--fault-plan "hang@3x2,ckpt@2:flip"`),
+//! and an empty plan injects nothing — the supervised campaign is then the
+//! plain paper campaign.
 //!
 //! Fleet runs extend the grammar with per-worker faults interpreted by the
 //! [`crate::fleet`] coordinator: `kill-worker@K` (worker K dies after its
@@ -14,9 +13,7 @@
 //! its lease is revoked), and `corrupt-worker-ckpt@K` (worker K corrupts
 //! its first shard-checkpoint write, then dies).
 
-use snowcat_core::{CoveragePredictor, PredictedCoverage, PredictorStats, SnowcatError};
-use snowcat_graph::CtGraph;
-use std::sync::atomic::{AtomicU64, Ordering};
+use snowcat_core::SnowcatError;
 
 /// How a checkpoint write is corrupted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,8 +48,6 @@ pub struct CheckpointFault {
 pub struct FaultPlan {
     /// Executor-hang faults by stream position.
     pub hangs: Vec<HangFault>,
-    /// Panic every Nth predictor batch (None = no predictor faults).
-    pub predictor_period: Option<u64>,
     /// Checkpoint-corruption faults by write ordinal.
     pub checkpoints: Vec<CheckpointFault>,
     /// Fleet worker slots that die right after their first shard checkpoint.
@@ -73,7 +68,6 @@ impl FaultPlan {
     /// True when the plan injects nothing.
     pub fn is_empty(&self) -> bool {
         self.hangs.is_empty()
-            && self.predictor_period.is_none()
             && self.checkpoints.is_empty()
             && self.kill_workers.is_empty()
             && self.stall_workers.is_empty()
@@ -95,7 +89,6 @@ impl FaultPlan {
     ///
     /// * `hang@I` / `hang@IxN` — hang the first 1 (resp. N) attempts at
     ///   stream position I,
-    /// * `pred@N` — panic every Nth predictor batch (N ≥ 1),
     /// * `ckpt@K:flip` / `ckpt@K:trunc` — corrupt the Kth checkpoint write,
     /// * `kill-worker@K` — kill fleet worker K after its first shard
     ///   checkpoint,
@@ -132,16 +125,6 @@ impl FaultPlan {
                         return Err(bad(token, "hang count must be ≥ 1".into()));
                     }
                     plan.hangs.push(HangFault { position: pos, attempts });
-                }
-                "pred" => {
-                    let n = rest.parse::<u64>().map_err(|_| bad(token, bad_num(rest)))?;
-                    if n == 0 {
-                        return Err(bad(token, "predictor period must be ≥ 1".into()));
-                    }
-                    if plan.predictor_period.is_some() {
-                        return Err(bad(token, "duplicate pred@ fault".into()));
-                    }
-                    plan.predictor_period = Some(n);
                 }
                 "ckpt" => {
                     let (ord, how) = rest
@@ -246,45 +229,6 @@ pub fn corrupt(bytes: &[u8], kind: CorruptionKind) -> Vec<u8> {
     }
 }
 
-/// A predictor wrapper that panics on a fixed batch cadence — the injected
-/// "predictor failure" the [`crate::resilient::ResilientPredictor`] must
-/// contain. Deterministic: the Nth, 2Nth, … batches fail.
-pub struct FaultyPredictor<P> {
-    inner: P,
-    period: u64,
-    batch_no: AtomicU64,
-}
-
-impl<P: CoveragePredictor> FaultyPredictor<P> {
-    /// Wrap `inner`, panicking on every `period`-th batch (period ≥ 1;
-    /// a period of 1 fails every batch).
-    pub fn new(inner: P, period: u64) -> Self {
-        Self { inner, period: period.max(1), batch_no: AtomicU64::new(0) }
-    }
-}
-
-impl<P: CoveragePredictor> CoveragePredictor for FaultyPredictor<P> {
-    fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        let n = self.batch_no.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(self.period) {
-            panic!("injected predictor fault (batch {n})");
-        }
-        self.inner.predict_batch(graphs)
-    }
-
-    fn stats(&self) -> PredictorStats {
-        self.inner.stats()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
-    }
-
-    fn name(&self) -> String {
-        format!("faulty/{}({})", self.period, self.inner.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,14 +243,13 @@ mod tests {
     #[test]
     fn full_grammar_parses() {
         let plan = FaultPlan::parse(
-            "hang@3x2,hang@7,pred@5,ckpt@2:flip,ckpt@4:trunc,\
+            "hang@3x2,hang@7,ckpt@2:flip,ckpt@4:trunc,\
              kill-worker@1,stall-worker@2,corrupt-worker-ckpt@0,poison-shard@3",
         )
         .unwrap();
         assert_eq!(plan.hang_attempts_at(3), 2);
         assert_eq!(plan.hang_attempts_at(7), 1);
         assert_eq!(plan.hang_attempts_at(0), 0);
-        assert_eq!(plan.predictor_period, Some(5));
         assert_eq!(plan.checkpoint_fault(2), Some(CorruptionKind::Flip));
         assert_eq!(plan.checkpoint_fault(4), Some(CorruptionKind::Truncate));
         assert_eq!(plan.checkpoint_fault(1), None);
@@ -325,13 +268,11 @@ mod tests {
             ("hang@", "hang@", "not a valid number"),
             ("hang@x", "hang@x", "not a valid number"),
             ("hang@1x0", "hang@1x0", "hang count must be ≥ 1"),
-            ("pred@0", "pred@0", "predictor period must be ≥ 1"),
-            ("pred@x", "pred@x", "not a valid number"),
             ("ckpt@1", "ckpt@1", "expected ckpt@K:flip|trunc"),
             ("ckpt@0:flip", "ckpt@0:flip", "checkpoint ordinal is 1-based"),
             ("ckpt@1:melt", "ckpt@1:melt", "unknown corruption 'melt'"),
             ("wobble@3", "wobble@3", "unknown fault kind 'wobble'"),
-            ("pred@2,pred@3", "pred@3", "duplicate pred@ fault"),
+            ("pred@5", "pred@5", "unknown fault kind 'pred'"),
             ("kill-worker@", "kill-worker@", "not a valid number"),
             ("stall-worker@x", "stall-worker@x", "not a valid number"),
             ("corrupt-worker-ckpt@-1", "corrupt-worker-ckpt@-1", "not a valid number"),

@@ -1,16 +1,14 @@
 //! Fault-tolerant campaign supervision for the Snowcat reproduction.
 //!
 //! Long concurrency-testing campaigns die for reasons that have nothing to
-//! do with the kernel under test: a schedule wedges the guest, the learned
-//! predictor OOMs or stalls, a worker thread panics, the host reboots. The
-//! paper's artifact survives these by supervising the loop; this crate is
-//! that layer for the reproduction, built from four pieces:
+//! do with the kernel under test: a schedule wedges the guest, a worker
+//! thread panics, the host reboots. The paper's artifact survives these by
+//! supervising the loop; this crate is that layer for the reproduction,
+//! built from these pieces:
 //!
 //! * [`watchdog`] — fuel-bounded execution with hang/crash classification,
 //! * [`checkpoint`] — checksummed, atomically-rotated campaign snapshots
 //!   with `.prev` fallback,
-//! * [`resilient`] — a predictor wrapper that degrades to a cheap baseline
-//!   instead of aborting,
 //! * [`fault`] — deterministic fault injection to prove the recovery paths,
 //! * [`supervisor`] — the campaign loop itself, with these pieces as hooks:
 //!   retry hung schedules with fresh seeds, quarantine repeat offenders,
@@ -43,7 +41,6 @@ pub mod feed;
 pub mod fleet;
 pub mod process_worker;
 pub mod reporting;
-pub mod resilient;
 pub mod supervisor;
 pub mod trainer;
 pub mod transport;
@@ -54,7 +51,7 @@ pub use checkpoint::{
     prev_path, save_bytes_atomic, save_checkpoint_atomic, CampaignCheckpoint, CKPT_MAGIC,
     CKPT_VERSION,
 };
-pub use fault::{corrupt, CheckpointFault, CorruptionKind, FaultPlan, FaultyPredictor, HangFault};
+pub use fault::{corrupt, CheckpointFault, CorruptionKind, FaultPlan, HangFault};
 pub use feed::CtFeed;
 pub use fleet::{
     clear_fleet_dir, decode_fleet_checkpoint, encode_fleet_checkpoint,
@@ -68,7 +65,6 @@ pub use reporting::{
     predictor_counters, report_from_campaign_checkpoint, report_from_fleet_checkpoint,
     report_from_supervised, report_from_train, report_from_train_checkpoint,
 };
-pub use resilient::ResilientPredictor;
 pub use supervisor::{run_supervised_campaign, RecoveryLog, SupervisedResult, SupervisorConfig};
 pub use trainer::{
     decode_train_checkpoint, encode_train_checkpoint, load_shards_quarantining,

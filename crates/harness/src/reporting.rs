@@ -18,16 +18,13 @@ use snowcat_events::{
     AnomalyRecord, CampaignSummary, PredictorCounters, Report, ShardIssue, TrainSummary,
 };
 
-/// Convert live predictor-chain counters into the report schema.
+/// Convert live predictor-chain counters into the report schema. The
+/// schema's cache and degradation fields have no source and stay 0.
 pub fn predictor_counters(ps: &PredictorStats) -> PredictorCounters {
     PredictorCounters {
         inferences: ps.inferences(),
         batches: ps.batches(),
-        cache_hits: ps.cache_hits(),
-        cache_misses: ps.cache_misses(),
-        cache_evictions: ps.cache_evictions(),
-        degraded_batches: ps.degraded_batches(),
-        fallback_predictions: ps.fallback_predictions(),
+        ..PredictorCounters::default()
     }
 }
 

@@ -15,10 +15,7 @@
 //! 2. **checkpoint/resume** — periodic checksummed snapshots via
 //!    [`crate::checkpoint`]; a killed campaign resumes at the exact stream
 //!    position with identical final state,
-//! 3. **graceful predictor degradation** — explorers can route inference
-//!    through [`crate::resilient::ResilientPredictor`]; the supervisor
-//!    reports the chain's degradation counters in the result,
-//! 4. **fault injection** — a [`FaultPlan`] forces hangs at chosen
+//! 3. **fault injection** — a [`FaultPlan`] forces hangs at chosen
 //!    positions and corrupts chosen checkpoint writes, deterministically.
 //!
 //! Quarantine is keyed by CT *pair* (not stream position) and seeds are
@@ -155,7 +152,7 @@ pub struct SupervisedResult {
     pub recovery: RecoveryLog,
     /// Stream position this run resumed from (None for a fresh run).
     pub resumed_from: Option<usize>,
-    /// Predictor-chain counters (None for PCT), including degradation.
+    /// Predictor-chain counters (None for PCT).
     pub predictor_stats: Option<PredictorStats>,
 }
 
@@ -448,11 +445,6 @@ pub fn run_supervised_campaign(
                             s.campaign(CampaignEvent::PredictorBatch {
                                 batches: ps.batches(),
                                 inferences: ps.inferences(),
-                                cache_hits: ps.cache_hits(),
-                                cache_misses: ps.cache_misses(),
-                                cache_evictions: ps.cache_evictions(),
-                                degraded_batches: ps.degraded_batches(),
-                                fallback_predictions: ps.fallback_predictions(),
                             });
                             last_predictor_emit = Some(ps);
                         }

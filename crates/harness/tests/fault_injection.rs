@@ -6,8 +6,6 @@
 //!   a digest of its history and bug list,
 //! * **injected hangs** are retried with fresh seeds and, when persistent,
 //!   quarantined — the campaign always completes,
-//! * **injected predictor failures** degrade to the baseline with counters,
-//!   never abort,
 //! * **checkpoint corruption** is detected and falls back to the previous
 //!   good snapshot,
 //! * a campaign **killed mid-run and resumed** from its checkpoint finishes
@@ -17,13 +15,11 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{
-    BaselineService, CampaignResult, CostModel, ExploreConfig, Explorer, Pic, PredictorService,
-    S1NewBitmap, SnowcatError, StrategyKind,
+    CampaignResult, CostModel, ExploreConfig, Explorer, Pic, SnowcatError, StrategyKind,
 };
 use snowcat_corpus::{random_cti_pairs, StiFuzzer, StiProfile};
 use snowcat_harness::{
-    load_checkpoint_with_fallback, prev_path, run_supervised_campaign, FaultPlan, FaultyPredictor,
-    ResilientPredictor, SupervisorConfig,
+    load_checkpoint_with_fallback, prev_path, run_supervised_campaign, FaultPlan, SupervisorConfig,
 };
 use snowcat_kernel::{generate, GenConfig, Kernel};
 use snowcat_nn::{Checkpoint, PicConfig, PicModel};
@@ -112,9 +108,7 @@ fn empty_plan_is_bit_identical_to_unsupervised_mlpct() {
     // Pinned like the PCT case above.
     assert_eq!(campaign_digest(&supervised.result), 0x3f24_7fe6_0449_fbbc);
     assert_eq!(supervised.result.history.len(), stream.len());
-    let stats = supervised.predictor_stats.expect("MLPCT reports predictor stats");
-    assert_eq!(stats.degraded_batches(), 0);
-    assert_eq!(stats.fallback_predictions(), 0);
+    assert!(supervised.predictor_stats.is_some(), "MLPCT reports predictor stats");
 }
 
 #[test]
@@ -163,37 +157,6 @@ fn transient_hangs_recover_via_retry_with_fresh_seed() {
     assert_eq!(supervised.result.history.len(), stream.len(), "every CTI produced a point");
     // Hung-attempt executions are wasted, not accumulated.
     assert_eq!(supervised.recovery.wasted_executions, ecfg.exec_budget as u64);
-}
-
-#[test]
-fn predictor_faults_degrade_gracefully_with_counters() {
-    let (k, cfg_k, corpus, stream) = setup(6);
-    let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-    let ck = Checkpoint::new(&model, 0.5, "t");
-    let pic = Pic::new(&ck, &k, &cfg_k);
-    let ecfg = ExploreConfig::default().with_exec_budget(4).with_inference_cap(40);
-    let cost = CostModel::default();
-
-    // Every 2nd predictor batch panics; the resilient wrapper must absorb
-    // every failure and serve those batches from the baseline.
-    let plan = FaultPlan::parse("pred@2").unwrap();
-    let faulty =
-        FaultyPredictor::new(BaselineService::fair_coin(7), plan.predictor_period.unwrap());
-    let resilient = ResilientPredictor::new(faulty, BaselineService::all_pos());
-    let explorer = Explorer::MlPct {
-        service: PredictorService::with(&pic, &resilient),
-        strategy: Box::new(S1NewBitmap::new()),
-    };
-    let sup = SupervisorConfig::new();
-    let supervised =
-        run_supervised_campaign(&k, &corpus, &stream, explorer, &ecfg, &cost, &sup, None)
-            .expect("campaign must complete despite predictor faults");
-    assert_eq!(supervised.result.history.len(), stream.len(), "no CTI was aborted");
-    let stats = supervised.predictor_stats.expect("stats flow through the chain");
-    assert!(stats.degraded_batches() > 0, "injected faults must show up in the counters");
-    assert!(stats.fallback_predictions() > 0);
-    assert!(resilient.degraded_batches() > 0);
-    assert!(!resilient.is_degraded(), "per-batch panics do not degrade permanently");
 }
 
 #[test]

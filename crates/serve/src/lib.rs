@@ -11,7 +11,7 @@
 //!   comes first. The queue is bounded; overload either blocks callers or
 //!   sheds to inline prediction ([`OverloadPolicy`]).
 //! * [`ServerHandle`] is the cloneable client. It implements
-//!   [`snowcat_core::CoveragePredictor`], so campaigns, caches, and
+//!   [`snowcat_core::CoveragePredictor`], so campaigns, worker pools and
 //!   benches plug in unchanged — and served results are **bit-identical**
 //!   to calling the model directly, for any batching schedule, because
 //!   per-graph inference never depends on batch composition.

@@ -34,8 +34,8 @@ pub struct ModelEpoch {
     /// server-side coalescing bit-identical to a direct call.
     pub deployed: DeployedModel,
     /// Content fingerprint (same derivation as a direct `Pic` deployment,
-    /// so caches keyed on the server see the same keys as caches keyed on
-    /// the underlying model).
+    /// so a handle and the model it serves report the same value, and a
+    /// swap to a different checkpoint changes it).
     pub fingerprint: u64,
     /// Provenance name of the checkpoint.
     pub name: String,
@@ -184,9 +184,8 @@ pub enum SwapOutcome {
 /// refuses structurally poisoned candidates (non-finite weights, bogus
 /// threshold) outright. After install, the breaker evaluates URB average
 /// precision on the held-out set and rolls back when the candidate is worse
-/// than `incumbent_ap - tolerance` — mirroring how the
-/// `ResilientPredictor` breaker degrades after observing failures rather
-/// than predicting them.
+/// than `incumbent_ap - tolerance`: the breaker acts on a regression it
+/// has observed, not one it predicts.
 pub struct ApGate {
     valid: Vec<(CtGraph, Vec<bool>)>,
     tolerance: f64,

@@ -291,7 +291,7 @@ fn batcher_loop(shared: Arc<Shared>) {
 ///
 /// Implements [`CoveragePredictor`], so it plugs into everything that
 /// takes one — [`snowcat_core::PredictorService`], campaign explorers,
-/// caches — while the server coalesces requests from any number of
+/// worker pools — while the server coalesces requests from any number of
 /// concurrent handles into shared flushes.
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -379,8 +379,8 @@ impl CoveragePredictor for ServerHandle {
     }
 
     fn fingerprint(&self) -> u64 {
-        // The served model's fingerprint, so caches keyed on this handle
-        // invalidate naturally across a hot swap.
+        // The served model's fingerprint, so callers can tell the epochs
+        // of a hot swap apart.
         self.shared.model.current().fingerprint
     }
 

@@ -72,10 +72,10 @@ pub mod prelude {
     pub use snowcat_analysis::{analyze, Allowlist, MayRace, StaticFinding};
     pub use snowcat_cfg::KernelCfg;
     pub use snowcat_core::{
-        explore_mlpct, explore_pct, fine_tune, train_pic, CachedPredictor, CostModel,
-        CoveragePredictor, ExploreConfig, Explorer, ParallelPredictor, Pic, PipelineConfig,
-        PredictorService, RazzerMode, S1NewBitmap, S2NewBlocks, S3LimitedTrials, Sampler,
-        SelectionStrategy, SnowcatError,
+        explore_mlpct, explore_pct, fine_tune, train_pic, CostModel, CoveragePredictor,
+        ExploreConfig, Explorer, ParallelPredictor, Pic, PipelineConfig, PredictorService,
+        RazzerMode, S1NewBitmap, S2NewBlocks, S3LimitedTrials, Sampler, SelectionStrategy,
+        SnowcatError,
     };
     pub use snowcat_corpus::{
         build_dataset, make_splits, random_cti_pairs, Dataset, DatasetConfig, StiFuzzer, StiProfile,
