@@ -1,9 +1,10 @@
 //! Microbenchmark: the robust training pipeline's overhead.
 //!
 //! The supervised trainer promises "robustness costs nothing on the happy
-//! path": anomaly guards run every step, and epoch checkpoints are written
-//! atomically with `.prev` rotation. This bench quantifies both against the
-//! plain (guard-free, checkpoint-free) `snowcat_nn::train` loop and writes
+//! path": the NaN/Inf guards run every step, and epoch checkpoints are
+//! written atomically with `.prev` rotation. This bench quantifies both
+//! against the same `snowcat_nn::train` loop run plain (`&mut ()`: no
+//! guards, no checkpoints) and writes
 //! `results/BENCH_train.json` with the steady-state epoch time, the
 //! checkpoint write cost, and the end-to-end checkpoint overhead as a
 //! percentage of epoch time (acceptance: < 5%).
@@ -109,41 +110,27 @@ fn main() {
     let plain_s = time_s(
         || {
             let mut m = PicModel::new(pic_cfg);
-            black_box(train(&mut m, &refs, &[], schedule));
+            black_box(train(&mut m, &refs, &[], schedule, None, &mut ()).unwrap());
         },
         reps,
     );
 
     // The guards must *run* (that is the cost being measured) but must not
-    // *trip*: a legitimate late-epoch gradient spike would add rollback +
-    // retry epochs and corrupt the timing. The sentinel work per step is
-    // identical whatever the threshold.
-    let robust_cfg = || {
-        let mut cfg = RobustTrainConfig::new(schedule);
-        cfg.spike_factor = f32::INFINITY;
-        cfg.divergence_factor = f32::INFINITY;
-        cfg
+    // *trip*: a rolled-back and retried epoch would corrupt the timing.
+    let supervised = |cfg: &RobustTrainConfig| {
+        let mut m = PicModel::new(pic_cfg);
+        let report = robust_train(&mut m, &refs, &[], cfg, false).unwrap();
+        assert!(report.anomalies.is_empty(), "a guard tripped: {:?}", report.anomalies);
+        black_box(report);
     };
 
     // Guards on, checkpoints off — the anomaly-sentinel overhead.
-    let guarded_s = time_s(
-        || {
-            let mut m = PicModel::new(pic_cfg);
-            black_box(robust_train(&mut m, &refs, &[], &robust_cfg(), false).unwrap());
-        },
-        reps,
-    );
+    let guarded_s = time_s(|| supervised(&RobustTrainConfig::new(schedule)), reps);
 
     // Guards on, checkpoint every epoch — the full supervised path.
-    let checkpointed_s = time_s(
-        || {
-            let mut m = PicModel::new(pic_cfg);
-            let mut cfg = robust_cfg();
-            cfg.checkpoint_path = Some(ckpt.clone());
-            black_box(robust_train(&mut m, &refs, &[], &cfg, false).unwrap());
-        },
-        reps,
-    );
+    let mut checkpointed = RobustTrainConfig::new(schedule);
+    checkpointed.checkpoint_path = Some(ckpt.clone());
+    let checkpointed_s = time_s(|| supervised(&checkpointed), reps);
 
     // Isolate the checkpoint codec and the atomic write.
     let (train_ck, _) = load_train_checkpoint_with_fallback(&ckpt).unwrap();

@@ -5,7 +5,7 @@
 //! blocks yet fail to reproduce the race because the two instructions never
 //! touch the same memory — and proposes training PIC to predict inter-thread
 //! data flows as future work. This binary implements that: a PIC model
-//! jointly trained with a flow head (`train_with_flows`), a Razzer variant
+//! jointly trained with a flow head (`train_on_with_flows`), a Razzer variant
 //! that additionally requires a predicted flow between the racing blocks
 //! (`Razzer-PIC+flow`), and a comparison of candidate precision (#TP/#CTIs)
 //! across Razzer-Relax / Razzer-PIC / Razzer-PIC+flow.

@@ -6,10 +6,10 @@ use rand_chacha::ChaCha8Rng;
 use snowcat_analysis::{analyze as run_analysis, Allowlist, Severity};
 use snowcat_cfg::KernelCfg;
 use snowcat_core::{
-    explore_mlpct, explore_pct, find_candidates, find_candidates_prefiltered, load_checkpoint,
-    reproduce, save_checkpoint, save_checkpoint_json, save_dataset, CostModel, CoveragePredictor,
-    ExploreConfig, Explorer, Pic, PipelineConfig, PredictorService, RacePrefilter, RazzerMode,
-    S1NewBitmap, SnowcatError, StrategyKind,
+    as_flow_labeled, as_labeled, explore_mlpct, explore_pct, find_candidates,
+    find_candidates_prefiltered, load_checkpoint, reproduce, save_checkpoint, save_checkpoint_json,
+    save_dataset, CostModel, CoveragePredictor, ExploreConfig, Explorer, Pic, PipelineConfig,
+    PredictorService, RacePrefilter, RazzerMode, S1NewBitmap, SnowcatError, StrategyKind,
 };
 use snowcat_corpus::{build_dataset, interacting_cti_pairs, DatasetConfig, StiFuzzer, StiProfile};
 use snowcat_events::{
@@ -214,7 +214,8 @@ pub fn collect(args: &Args) -> CmdResult {
 /// `snowcat train` — robust, resumable training pipeline; binary (SCMC)
 /// model checkpoint out, epoch-granular (STCP) training checkpoints with
 /// `--checkpoint`, anomaly guards with rollback, and shard-quarantining
-/// data loading with `--data`.
+/// data loading with `--data`. `--flow` trains the inter-thread-flow head
+/// jointly, through the same supervised run.
 pub fn train(args: &Args) -> CmdResult {
     args.ensure_known(&[
         "version",
@@ -253,47 +254,7 @@ pub fn train(args: &Args) -> CmdResult {
         .with_train(train_cfg)
         .with_seed(seed);
 
-    if args.has_flag("flow") {
-        // The flow head trains through the plain joint path; the supervised
-        // trainer covers the deployed coverage head only.
-        for robust in [
-            "data",
-            "checkpoint",
-            "checkpoint-every",
-            "resume",
-            "fault-plan",
-            "patience",
-            "report",
-            "events",
-            "stall-ms",
-        ] {
-            if args.get(robust).is_some() || args.has_flag(robust) {
-                return Err(format!("--flow does not support --{robust}").into());
-            }
-        }
-        println!("training PIC with the inter-thread-flow head ...");
-        let data = snowcat_core::collect_data(&k, &cfg, &pcfg);
-        let (ck, summary, flow_ap) = snowcat_core::train_on_with_flows(
-            &k,
-            &data,
-            pcfg.model,
-            pcfg.train,
-            seed,
-            "PIC-cli+flow",
-        );
-        println!(
-            "coverage val AP {:.4}, flow AP {:.4}, threshold {:.2}",
-            summary.val_urb_ap, flow_ap, ck.threshold
-        );
-        save_checkpoint(std::path::Path::new(&out), &ck)?;
-        println!("wrote checkpoint to {out}");
-        if let Some(p) = args.get("export-json") {
-            save_checkpoint_json(std::path::Path::new(p), &ck)?;
-            println!("wrote JSON export to {p}");
-        }
-        return Ok(());
-    }
-
+    let flow = args.has_flag("flow");
     let fault_plan = TrainFaultPlan::parse(&args.get_or("fault-plan", ""))
         .map_err(|e| SnowcatError::Config(format!("--fault-plan: {e}")))?;
     let (sink, writer) = spawn_event_writer(args)?;
@@ -323,6 +284,11 @@ pub fn train(args: &Args) -> CmdResult {
                 )
                 .into());
             }
+            // Joint training needs a flow label per edge; a shard may omit them.
+            if flow && merged.examples.iter().any(|e| e.flow_labels.len() != e.graph.edges.len()) {
+                let detail = "--flow needs flow labels on every example".into();
+                return Err(SnowcatError::Config(detail).into());
+            }
             quarantine = Some(q);
             // Deterministic 90/10 train/valid split by example position.
             let mut tr = snowcat_corpus::Dataset::default();
@@ -346,8 +312,7 @@ pub fn train(args: &Args) -> CmdResult {
     let pre = snowcat_core::pretrain_encoder(&k, &pcfg.model, seed);
     let mut model = PicModel::new(pcfg.model);
     model.params.tok_emb = pre.tok_emb.clone();
-    let train_refs = snowcat_core::as_labeled(&train_set);
-    let valid_refs = snowcat_core::as_labeled(&valid_set);
+    let valid_refs = as_labeled(&valid_set);
 
     let mut rcfg = RobustTrainConfig::new(pcfg.train);
     rcfg.checkpoint_path = args.get("checkpoint").map(std::path::PathBuf::from);
@@ -361,9 +326,14 @@ pub fn train(args: &Args) -> CmdResult {
         return Err(SnowcatError::Config("--resume requires --checkpoint FILE".into()).into());
     }
 
-    let report = robust_train(&mut model, &train_refs, &valid_refs, &rcfg, resume)?;
+    let report = if flow {
+        robust_train(&mut model, &as_flow_labeled(&train_set), &valid_refs, &rcfg, resume)?
+    } else {
+        robust_train(&mut model, &as_labeled(&train_set), &valid_refs, &rcfg, resume)?
+    };
     let threshold = report.threshold.unwrap_or(0.5);
-    let checkpoint = Checkpoint::new(&model, threshold, "PIC-cli");
+    let checkpoint =
+        Checkpoint::new(&model, threshold, if flow { "PIC-cli+flow" } else { "PIC-cli" });
     println!(
         "trained {} epochs; val URB AP {:.4}; threshold {:.2}; {} anomalies survived{}",
         report.epoch_losses.len(),
@@ -376,9 +346,13 @@ pub fn train(args: &Args) -> CmdResult {
         println!("  anomaly: epoch {} attempt {}: {} ({})", a.epoch, a.attempt, a.kind, a.detail);
     }
     if let Some(eval) = &eval_set {
-        let eval_refs = snowcat_core::as_labeled(eval);
+        let eval_refs = as_labeled(eval);
         let m = snowcat_nn::evaluate(&model, &eval_refs, threshold, true);
         println!("eval URB P/R {:.3}/{:.3} over {} graphs", m.precision, m.recall, eval.len());
+        if flow {
+            let flow_refs = as_flow_labeled(eval);
+            println!("eval flow AP {:.4}", snowcat_nn::flow_average_precision(&model, &flow_refs));
+        }
     }
 
     save_checkpoint(std::path::Path::new(&out), &checkpoint)?;

@@ -100,8 +100,27 @@ fn typo_in_option_is_rejected() {
         &["fuzz", "--iterationz", "5"][..],
         &["campaign", "--out", "x.json"],
         &["campaign", "--ctis", "notanumber"],
+        &["train", "--out", "x.bin", "--fault-plan", "spike@0"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_snowcat")).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{args:?} is bad usage");
     }
+}
+
+#[test]
+fn training_survives_large_finite_gradients_without_anomalies() {
+    // Adam clips every update to a global gradient norm, so a large but
+    // finite gradient is ordinary training, not an anomaly to roll back.
+    let dir = std::env::temp_dir().join("snowcat-cli-train-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("pic.bin");
+    let out = Command::new(env!("CARGO_BIN_EXE_snowcat"))
+        .args(["train", "--ctis", "32", "--epochs", "2", "--seed", "2"])
+        .args(["--out", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.contains("0 anomalies survived"), "{stdout}");
+    std::fs::remove_file(&path).ok();
 }

@@ -1,7 +1,8 @@
 //! Kill-and-resume smoke tests for `snowcat train`: SIGKILL the trainer
-//! mid-run (and, separately, die via an injected `kill@E` fault), resume
-//! from the epoch checkpoint, and verify the final report and the written
-//! model weights are byte-identical to an uninterrupted run.
+//! mid-run (and, separately, die via an injected `kill@E` fault, for both
+//! the coverage and the joint flow task), resume from the epoch checkpoint,
+//! and verify the final report and the written model weights are
+//! byte-identical to an uninterrupted run.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -118,39 +119,79 @@ fn killed_training_resumes_to_identical_weights_and_report() {
 fn injected_kill_fault_dies_at_137_and_resumes_identically() {
     let dir = tmp_dir("fault");
     let shards = collect_shards(&dir);
-    let ckpt = dir.join("train.stcp");
-    let (full_bin, full_rep) = (dir.join("full.bin"), dir.join("full.json"));
-    let (res_bin, res_rep) = (dir.join("resumed.bin"), dir.join("resumed.json"));
+    // Once per task: coverage only, and coverage jointly with the flow head.
+    for (tag, task) in [("coverage", &[][..]), ("flow", &["--flow"][..])] {
+        let ckpt = dir.join(format!("{tag}.stcp"));
+        let (full_bin, full_rep) = (dir.join(format!("{tag}-full.bin")), dir.join("full.json"));
+        let (res_bin, res_rep) = (dir.join(format!("{tag}-resumed.bin")), dir.join("resumed.json"));
 
+        let status = snowcat()
+            .args(train_args(&shards))
+            .args(task)
+            .args(["--out", full_bin.to_str().unwrap(), "--report", full_rep.to_str().unwrap()])
+            .status()
+            .expect("binary runs");
+        assert!(status.success(), "{tag}: uninterrupted run failed");
+
+        // `kill@1` exits the process right after epoch 1's checkpoint lands.
+        let out = snowcat()
+            .args(train_args(&shards))
+            .args(task)
+            .args(["--out", dir.join("victim.bin").to_str().unwrap()])
+            .args(["--checkpoint", ckpt.to_str().unwrap(), "--fault-plan", "kill@1"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(137), "{tag}: kill@E emulates SIGKILL");
+        assert!(ckpt.exists(), "{tag}: the checkpoint must land before the kill");
+
+        // Resuming with the same plan must not re-trigger the passed kill.
+        let status = snowcat()
+            .args(train_args(&shards))
+            .args(task)
+            .args(["--checkpoint", ckpt.to_str().unwrap(), "--fault-plan", "kill@1"])
+            .arg("--resume")
+            .args(["--out", res_bin.to_str().unwrap(), "--report", res_rep.to_str().unwrap()])
+            .status()
+            .expect("binary runs");
+        assert!(status.success(), "{tag}: resume after kill@E failed");
+
+        assert_eq!(result_of(&res_rep), result_of(&full_rep), "{tag}");
+        assert_eq!(std::fs::read(&res_bin).unwrap(), std::fs::read(&full_bin).unwrap(), "{tag}");
+    }
+}
+
+#[test]
+fn flow_training_refuses_examples_without_flow_labels() {
+    let dir = tmp_dir("noflow");
+    let shards = collect_shards(&dir);
+    // A JSON shard may omit flow labels and still validate; joint training
+    // must refuse it as bad input rather than train on it.
+    let first = shards.split(',').next().unwrap();
+    let mut ds =
+        snowcat_corpus::decode_dataset(bytes::Bytes::from(std::fs::read(first).unwrap())).unwrap();
+    for e in &mut ds.examples {
+        e.flow_labels.clear();
+    }
+    let json = dir.join("noflow.json");
+    std::fs::write(&json, ds.to_json().unwrap()).unwrap();
+
+    let out = snowcat()
+        .args(train_args(json.to_str().unwrap()))
+        .arg("--flow")
+        .args(["--out", dir.join("never.bin").to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2), "missing flow labels are bad input");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("flow labels"), "stderr names the problem: {stderr}");
+
+    // The same shard still trains the coverage head.
     let status = snowcat()
-        .args(train_args(&shards))
-        .args(["--out", full_bin.to_str().unwrap(), "--report", full_rep.to_str().unwrap()])
+        .args(train_args(json.to_str().unwrap()))
+        .args(["--out", dir.join("coverage.bin").to_str().unwrap()])
         .status()
         .expect("binary runs");
     assert!(status.success());
-
-    // `kill@1` exits the process right after epoch 1's checkpoint lands.
-    let out = snowcat()
-        .args(train_args(&shards))
-        .args(["--out", dir.join("victim.bin").to_str().unwrap()])
-        .args(["--checkpoint", ckpt.to_str().unwrap(), "--fault-plan", "kill@1"])
-        .output()
-        .expect("binary runs");
-    assert_eq!(out.status.code(), Some(137), "kill@E emulates SIGKILL");
-    assert!(ckpt.exists(), "the checkpoint must land before the kill");
-
-    // Resuming with the same plan must not re-trigger the passed kill.
-    let status = snowcat()
-        .args(train_args(&shards))
-        .args(["--checkpoint", ckpt.to_str().unwrap(), "--fault-plan", "kill@1"])
-        .arg("--resume")
-        .args(["--out", res_bin.to_str().unwrap(), "--report", res_rep.to_str().unwrap()])
-        .status()
-        .expect("binary runs");
-    assert!(status.success(), "resume after kill@E failed");
-
-    assert_eq!(result_of(&res_rep), result_of(&full_rep));
-    assert_eq!(std::fs::read(&res_bin).unwrap(), std::fs::read(&full_bin).unwrap());
 }
 
 #[test]

@@ -59,7 +59,8 @@ pub enum SnowcatError {
         detail: String,
     },
     /// Training hit an unrecoverable anomaly: an epoch kept producing
-    /// NaN/Inf losses or gradient spikes through every salted retry.
+    /// NaN/Inf losses or gradients, a worker panic or a diverging loss
+    /// through every salted retry.
     TrainingDiverged {
         /// The epoch that could not be completed.
         epoch: usize,

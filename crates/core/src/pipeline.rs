@@ -10,8 +10,9 @@ use snowcat_corpus::{build_dataset, make_splits, Dataset, DatasetConfig, StiFuzz
 use snowcat_graph::GraphStats;
 use snowcat_kernel::{asm, Kernel};
 use snowcat_nn::{
-    evaluate, pretrain, train, tune_threshold_f2_pooled, urb_average_precision, Checkpoint,
-    LabeledGraph, MeanMetrics, PicConfig, PicModel, PretrainConfig, TrainConfig,
+    evaluate, flow_average_precision, pretrain, train, tune_threshold_f2_pooled,
+    urb_average_precision, Checkpoint, LabeledGraph, MeanMetrics, PicConfig, PicModel,
+    PretrainConfig, TrainConfig, TrainExample,
 };
 
 /// Pipeline configuration (scaled-down analogue of §5.1.1).
@@ -159,30 +160,10 @@ pub fn train_on_with_flows(
     seed: u64,
     name: &str,
 ) -> (Checkpoint, PipelineSummary, f64) {
-    use snowcat_nn::{flow_average_precision, train_with_flows};
-    let pre = pretrain_encoder(kernel, &model_cfg, seed);
-    let mut model = PicModel::new(model_cfg);
-    model.params.tok_emb = pre.tok_emb.clone();
     let train_refs = as_flow_labeled(&data.train_set);
-    let valid_refs = as_labeled(&data.valid_set);
-    let report = train_with_flows(&mut model, &train_refs, &valid_refs, train_cfg);
-    let threshold = tune_threshold_f2_pooled(&model, &valid_refs);
-    let checkpoint = Checkpoint::new(&model, threshold, name);
-    let eval_refs = as_labeled(&data.eval_set);
-    let eval_flow_refs = as_flow_labeled(&data.eval_set);
-    let flow_ap = flow_average_precision(&model, &eval_flow_refs);
-    let summary = PipelineSummary {
-        kernel_version: kernel.version.clone(),
-        corpus_size: data.corpus.len(),
-        examples: (data.train_set.len(), data.valid_set.len(), data.eval_set.len()),
-        train_stats: data.train_set.stats(),
-        urb_base_rate: data.train_set.urb_positive_rate(),
-        val_urb_ap: urb_average_precision(&model, &valid_refs),
-        threshold,
-        pretrain_accuracy: pre.accuracy,
-        train_seconds: report.train_seconds,
-        eval_urb: evaluate(&model, &eval_refs, threshold, true),
-    };
+    let (checkpoint, summary) =
+        train_examples(kernel, data, model_cfg, train_cfg, seed, name, &train_refs);
+    let flow_ap = flow_average_precision(&checkpoint.restore(), &as_flow_labeled(&data.eval_set));
     (checkpoint, summary, flow_ap)
 }
 
@@ -260,12 +241,28 @@ pub fn train_on(
     seed: u64,
     name: &str,
 ) -> (Checkpoint, PipelineSummary) {
+    let train_refs = as_labeled(&data.train_set);
+    train_examples(kernel, data, model_cfg, train_cfg, seed, name, &train_refs)
+}
+
+/// Stage 3–5 on either task's training examples (the example type selects
+/// coverage-only or joint coverage + flow training).
+fn train_examples<T: TrainExample>(
+    kernel: &Kernel,
+    data: &CollectedData,
+    model_cfg: PicConfig,
+    train_cfg: TrainConfig,
+    seed: u64,
+    name: &str,
+    train_refs: &[T],
+) -> (Checkpoint, PipelineSummary) {
     let pre = pretrain_encoder(kernel, &model_cfg, seed);
     let mut model = PicModel::new(model_cfg);
     model.params.tok_emb = pre.tok_emb.clone();
-    let train_refs = as_labeled(&data.train_set);
     let valid_refs = as_labeled(&data.valid_set);
-    let report = train(&mut model, &train_refs, &valid_refs, train_cfg);
+    let train_seconds = train(&mut model, train_refs, &valid_refs, train_cfg, None, &mut ())
+        .unwrap_or_else(|e| panic!("{e}"))
+        .train_seconds;
     let threshold = tune_threshold_f2_pooled(&model, &valid_refs);
     let checkpoint = Checkpoint::new(&model, threshold, name);
     let eval_refs = as_labeled(&data.eval_set);
@@ -278,7 +275,7 @@ pub fn train_on(
         val_urb_ap: urb_average_precision(&model, &valid_refs),
         threshold,
         pretrain_accuracy: pre.accuracy,
-        train_seconds: report.train_seconds,
+        train_seconds,
         eval_urb: evaluate(&model, &eval_refs, threshold, true),
     };
     (checkpoint, summary)
@@ -313,7 +310,8 @@ pub fn fine_tune(
     let train_refs = as_labeled(train_set);
     let valid_refs = as_labeled(valid_set);
     let cfg = TrainConfig { epochs, lr: 1e-3, ..Default::default() };
-    train(&mut model, &train_refs, &valid_refs, cfg);
+    train(&mut model, &train_refs, &valid_refs, cfg, None, &mut ())
+        .unwrap_or_else(|e| panic!("{e}"));
     let threshold = if valid_refs.is_empty() {
         base.threshold
     } else {

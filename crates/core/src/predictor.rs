@@ -210,8 +210,8 @@ impl<P: CoveragePredictor + ?Sized> CoveragePredictor for &P {
 }
 
 /// Coverage prediction with the auxiliary inter-thread-flow head (§6). Only
-/// meaningful on models trained with [`snowcat_nn::train_with_flows`]; the
-/// flow scores are aligned with `graph.edges` (0.0 on non-InterFlow edges).
+/// meaningful on models trained on flow examples
+/// ([`snowcat_nn::FlowLabeledGraph`]); the flow scores are aligned with `graph.edges` (0.0 on non-InterFlow edges).
 pub trait FlowPredictor: CoveragePredictor {
     /// Predict coverage *and* per-edge inter-thread-flow probabilities.
     fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>);

@@ -169,7 +169,7 @@ mod tests {
             anomalies: vec![AnomalyRecord {
                 epoch: 1,
                 attempt: 0,
-                kind: "grad-spike".into(),
+                kind: "nan-grad".into(),
                 detail: "x".into(),
             }],
             early_stopped: false,

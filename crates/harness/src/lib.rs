@@ -13,9 +13,10 @@
 //! * [`supervisor`] — the campaign loop itself, with these pieces as hooks:
 //!   retry hung schedules with fresh seeds, quarantine repeat offenders,
 //!   checkpoint periodically, resume exactly,
-//! * [`trainer`] — the same discipline for training: epoch-granular
-//!   bit-exact checkpoints (STCP), anomaly guards with rollback and salted
-//!   retries, and shard-quarantining data loading,
+//! * [`trainer`] — the same discipline for training, as a hook on the one
+//!   epoch loop (`snowcat_nn::train`): epoch-granular bit-exact checkpoints
+//!   (STCP), anomaly guards with rollback and salted retries, and
+//!   shard-quarantining data loading,
 //! * [`fleet`] — a fault-tolerant campaign fleet: sharded workers behind
 //!   one [`fleet::FleetWorker`] seam, lease-based work stealing with
 //!   heartbeat deadlines, and crash-consistent SCFC fleet checkpoints
@@ -29,8 +30,9 @@
 //! [`run_supervised_campaign`] is the only campaign loop in the tree: with
 //! [`SupervisorConfig::new()`] (no faults injected, no fuel override, no
 //! checkpointing) it is the plain paper campaign, so robustness costs
-//! nothing on the happy path. Likewise, [`trainer::robust_train`] with an empty fault plan is
-//! bit-identical to [`snowcat_nn::train`].
+//! nothing on the happy path. Likewise, [`trainer::robust_train`] is
+//! [`snowcat_nn::train`] under a supervising hook: when no guard trips, its
+//! model is bit-identical to the plain loop's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

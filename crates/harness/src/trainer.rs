@@ -1,34 +1,36 @@
 //! Robust, resumable supervised training (STCP format).
 //!
-//! PR 4 made *campaign execution* fault-tolerant; this module extends the
-//! same discipline to training, which is itself a long-running job (the
-//! predictor is retrained per kernel version and refreshed during
-//! campaigns). Three layers, mirroring the supervisor's design:
+//! Training is itself a long-running job (the predictor is retrained per
+//! kernel version and refreshed during campaigns), so it gets the same
+//! discipline as campaign execution. [`robust_train`] runs the one epoch
+//! loop, [`snowcat_nn::train`], under a hook that adds three layers:
 //!
 //! * **epoch-granular checkpoints** — model weights, Adam moments, the RNG
-//!   stream position, the *cumulative* shuffle permutation, anomaly-guard
-//!   state and metric history, serialized bit-exactly (`snowcat_nn::binser`)
-//!   inside the corpus crate's checksummed envelope and written atomically
-//!   with `.prev` rotation. Resuming reproduces the uninterrupted run
+//!   stream position, the *cumulative* shuffle permutation and metric
+//!   history, serialized bit-exactly (`snowcat_nn::binser`) inside the
+//!   corpus crate's checksummed envelope and written atomically with
+//!   `.prev` rotation. Resuming reproduces the uninterrupted run
 //!   **bit-identically**, at any thread count;
-//! * **anomaly guards** — per-step NaN/Inf sentinels on loss and gradient
-//!   norm, an EWMA-based gradient-spike detector, and a post-epoch
-//!   loss-divergence breaker. Each rolls the epoch back to its pre-epoch
-//!   state and retries with a salted re-seed of the shuffle; bounded
-//!   retries, then a typed [`SnowcatError::TrainingDiverged`];
+//! * **anomaly guards** — the loop's per-step NaN/Inf sentinels on loss and
+//!   gradient norm, and a post-epoch loss-divergence breaker. Each rolls the
+//!   epoch back to its pre-epoch state and retries with a salted re-seed of
+//!   the shuffle; bounded retries, then a typed
+//!   [`SnowcatError::TrainingDiverged`]. Large but finite gradients are not
+//!   an anomaly: Adam clips every update to a global norm;
 //! * **shard-quarantining loading** — [`load_shards_quarantining`] decodes
 //!   and validates each SCDS/JSON shard, sidelining corrupt or malformed
 //!   ones into a [`QuarantineReport`] instead of aborting the run.
 //!
-//! A deterministic [`TrainFaultPlan`] (`nan@E`, `spike@E`, `panic@E`,
-//! `shard@K:flip|trunc`, `kill@E`) drives the recovery paths end to end in
-//! tests. An empty plan with no resume is bit-identical to the plain
-//! [`snowcat_nn::train`] path — robustness costs nothing on the happy path.
+//! The example type selects the task: coverage examples train the coverage
+//! head, flow examples train it jointly with the flow head. A deterministic
+//! [`TrainFaultPlan`] (`nan@E`, `panic@E`, `shard@K:flip|trunc`, `kill@E`)
+//! drives the recovery paths end to end in tests. When no guard trips, the
+//! final parameters are bit-identical to the plain loop's — robustness
+//! costs nothing on the happy path.
 
 use crate::checkpoint::{load_with_fallback, save_bytes_atomic};
 use crate::fault::{corrupt, CorruptionKind};
 use bytes::Bytes;
-use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use snowcat_core::{decode_dataset_auto, SnowcatError};
@@ -38,30 +40,19 @@ use snowcat_nn::binser::{
     put_adam, put_params, put_pic_config, take_adam, take_params, take_pic_config, Dec, Enc,
 };
 use snowcat_nn::{
-    dataset_fingerprint, tune_threshold_f2_pooled, urb_average_precision, Adam, AdamConfig,
-    AdamSnapshot, EpochError, EpochFault, EpochRunner, LabeledGraph, PicConfig, PicModel,
-    PicParams, StepInfo, TrainConfig,
+    dataset_fingerprint, tune_threshold_f2_pooled, Adam, AdamSnapshot, EpochError, EpochFault,
+    EpochOutcome, LabeledGraph, Next, PicConfig, PicModel, PicParams, TrainConfig, TrainExample,
+    TrainHook, TrainState, Verdict,
 };
 use std::path::{Path, PathBuf};
 
 /// Magic of the Snowcat Training CheckPoint envelope.
 pub const TRAIN_CKPT_MAGIC: &[u8; 4] = b"STCP";
-/// Current (and minimum readable) envelope version. v2: the embedded
-/// config/parameter layout gained the static-channel fields (see
-/// `snowcat_nn::binser`); training checkpoints are short-lived working
-/// state, so v1 files are rejected rather than migrated.
-pub const TRAIN_CKPT_VERSION: u16 = 2;
+/// Current (and minimum readable) envelope version. v3 carries no
+/// gradient-spike baseline; training checkpoints are short-lived working
+/// state, so older files are rejected rather than migrated.
+pub const TRAIN_CKPT_VERSION: u16 = 3;
 
-/// Salt mixed into the RNG state on epoch retries (distinct from the
-/// supervisor's hang-retry salt).
-const RETRY_SALT: u64 = 0x7A19_EE0C_55AB_41D7;
-/// EWMA smoothing factor for the gradient-norm baseline.
-const EWMA_ALPHA: f32 = 0.2;
-/// Steps of EWMA warm-up before the spike detector arms. A spike injected
-/// before the baseline exists is undetectable by design.
-const EWMA_WARMUP: u64 = 3;
-/// Gradient scale applied by an injected `spike@E` fault.
-const SPIKE_MAGNITUDE: f32 = 1.0e3;
 /// Exit code emulating SIGKILL for `kill@E` faults (128 + 9).
 const KILL_EXIT_CODE: i32 = 137;
 
@@ -70,8 +61,6 @@ const KILL_EXIT_CODE: i32 = 137;
 pub enum TrainFaultKind {
     /// Poison one accumulated gradient entry with NaN.
     Nan,
-    /// Scale the accumulated gradients by [`SPIKE_MAGNITUDE`].
-    Spike,
     /// Panic a training worker.
     Panic,
 }
@@ -111,7 +100,6 @@ impl TrainFaultPlan {
             .kind
         {
             TrainFaultKind::Nan => EpochFault::NanGrads,
-            TrainFaultKind::Spike => EpochFault::SpikeGrads(SPIKE_MAGNITUDE),
             TrainFaultKind::Panic => EpochFault::WorkerPanic,
         })
     }
@@ -130,8 +118,6 @@ impl TrainFaultPlan {
     ///
     /// * `nan@E` / `nan@ExN` — NaN-poison the gradients of the first 1
     ///   (resp. N) attempts at epoch E,
-    /// * `spike@E` / `spike@ExN` — scale the gradients of the first
-    ///   attempts at epoch E by a large factor,
     /// * `panic@E` / `panic@ExN` — panic a training worker at epoch E,
     /// * `shard@K:flip` / `shard@K:trunc` — corrupt the Kth data shard
     ///   (0-based) before decoding,
@@ -147,7 +133,7 @@ impl TrainFaultPlan {
                 .ok_or_else(|| format!("fault token '{token}' is missing '@'"))?;
             let bad = |field: &str| format!("'{token}': '{field}' is not a valid number");
             match kind {
-                "nan" | "spike" | "panic" => {
+                "nan" | "panic" => {
                     let (epoch, attempts) = match rest.split_once('x') {
                         Some((e, n)) => (
                             e.parse::<usize>().map_err(|_| bad(e))?,
@@ -158,11 +144,8 @@ impl TrainFaultPlan {
                     if attempts == 0 {
                         return Err(format!("'{token}': attempt count must be ≥ 1"));
                     }
-                    let fk = match kind {
-                        "nan" => TrainFaultKind::Nan,
-                        "spike" => TrainFaultKind::Spike,
-                        _ => TrainFaultKind::Panic,
-                    };
+                    let fk =
+                        if kind == "nan" { TrainFaultKind::Nan } else { TrainFaultKind::Panic };
                     plan.epoch_faults.push(TrainEpochFault { epoch, kind: fk, attempts });
                 }
                 "shard" => {
@@ -200,8 +183,8 @@ pub struct AnomalyEvent {
     pub epoch: usize,
     /// Attempt number at that epoch (0 = first try).
     pub attempt: usize,
-    /// Anomaly class: `nan-loss`, `nan-grad`, `grad-spike`,
-    /// `loss-divergence` or `worker-panic`.
+    /// Anomaly class: `nan-loss`, `nan-grad`, `loss-divergence` or
+    /// `worker-panic`.
     pub kind: String,
     /// Human-readable detail.
     pub detail: String,
@@ -237,10 +220,6 @@ pub struct TrainCheckpoint {
     pub best: Option<(usize, f64, PicParams)>,
     /// Complete optimizer state.
     pub adam: AdamSnapshot,
-    /// Gradient-norm EWMA (anomaly-guard baseline).
-    pub ewma: f32,
-    /// Steps folded into the EWMA.
-    pub ewma_steps: u64,
     /// Mean training loss per completed epoch.
     pub epoch_losses: Vec<f32>,
     /// Validation URB AP per completed epoch.
@@ -284,8 +263,6 @@ pub fn encode_train_checkpoint(ck: &TrainCheckpoint) -> Vec<u8> {
         }
     }
     put_adam(&mut e, &ck.adam);
-    e.put_f32(ck.ewma);
-    e.put_u64(ck.ewma_steps);
     e.put_f32s(&ck.epoch_losses);
     e.put_f64s(&ck.val_ap);
     e.put_u32(ck.anomalies.len() as u32);
@@ -343,8 +320,6 @@ pub fn decode_train_checkpoint(path: &Path, bytes: &[u8]) -> Result<TrainCheckpo
             }
         };
         let adam = take_adam(d)?;
-        let ewma = d.take_f32()?;
-        let ewma_steps = d.take_u64()?;
         let epoch_losses = d.take_f32s()?;
         let val_ap = d.take_f64s()?;
         let n_anoms = d.take_u32()? as usize;
@@ -377,8 +352,6 @@ pub fn decode_train_checkpoint(path: &Path, bytes: &[u8]) -> Result<TrainCheckpo
             params,
             best,
             adam,
-            ewma,
-            ewma_steps,
             epoch_losses,
             val_ap,
             anomalies,
@@ -418,8 +391,6 @@ pub struct RobustTrainConfig {
     pub patience: Option<usize>,
     /// Salted retries per epoch before declaring divergence.
     pub max_retries: usize,
-    /// Gradient-norm spike threshold as a multiple of the EWMA baseline.
-    pub spike_factor: f32,
     /// Loss-divergence breaker: mean epoch loss above this multiple of the
     /// best (minimum) prior epoch loss fails the epoch.
     pub divergence_factor: f32,
@@ -437,7 +408,7 @@ pub struct RobustTrainConfig {
 
 impl RobustTrainConfig {
     /// Defaults: checkpoint every epoch (when a path is given), 2 salted
-    /// retries, 8× EWMA spike threshold, 4× divergence breaker.
+    /// retries, 4× divergence breaker.
     pub fn new(train: TrainConfig) -> Self {
         Self {
             train,
@@ -445,7 +416,6 @@ impl RobustTrainConfig {
             checkpoint_every: 1,
             patience: None,
             max_retries: 2,
-            spike_factor: 8.0,
             divergence_factor: 4.0,
             stop_after: None,
             stall_ms: 0,
@@ -487,24 +457,6 @@ pub fn params_crc32(params: &PicParams) -> u32 {
     crc32(&e.finish())
 }
 
-/// Mix (epoch, attempt) into a captured RNG state for a salted retry —
-/// splitmix64-style, so retry streams are decorrelated from the original
-/// and from each other.
-fn salt_state(state: [u64; 4], epoch: usize, attempt: usize) -> [u64; 4] {
-    let mut s = state;
-    let mut z = (epoch as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add((attempt as u64).wrapping_mul(RETRY_SALT));
-    for w in &mut s {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = z;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        *w ^= x ^ (x >> 31);
-    }
-    s
-}
-
 /// The post-epoch loss-divergence breaker: fails an epoch whose mean loss
 /// is non-finite or exceeds `factor` times the best prior epoch loss.
 pub fn loss_diverged(mean_loss: f32, prior_losses: &[f32], factor: f32) -> bool {
@@ -530,47 +482,194 @@ pub fn report_from_checkpoint(ck: &TrainCheckpoint) -> TrainRunReport {
     }
 }
 
-fn emit_anomaly(cfg: &RobustTrainConfig, anomaly: Option<&AnomalyEvent>) {
-    if let (Some(sink), Some(a)) = (&cfg.events, anomaly) {
-        sink.train(TrainEvent::AnomalyDetected {
-            epoch: a.epoch as u64,
-            attempt: a.attempt as u64,
-            kind: a.kind.clone(),
-            detail: a.detail.clone(),
+/// [`robust_train`]'s hook on the epoch loop: fault injection, the anomaly
+/// log and its events, the divergence breaker and retry budget, patience,
+/// `stop_after`, STCP writes, and the `kill@E` / `stall_ms` test seams.
+struct Supervisor<'a> {
+    cfg: &'a RobustTrainConfig,
+    fingerprint: u64,
+    anomalies: Vec<AnomalyEvent>,
+    /// The accepted attempt at the epoch being completed.
+    attempt: usize,
+    epochs_this_call: usize,
+    early_stopped: bool,
+}
+
+impl Supervisor<'_> {
+    fn emit(&self, event: TrainEvent) {
+        if let Some(sink) = &self.cfg.events {
+            sink.train(event);
+        }
+    }
+
+    fn emit_finished(&self, state: &TrainState, diverged: bool) {
+        let best = state.best.as_ref();
+        self.emit(TrainEvent::Finished {
+            epochs: state.epoch_losses.len() as u64,
+            best_epoch: best.map(|b| b.0 as u64),
+            best_val_ap: best.map(|b| b.1),
+            early_stopped: self.early_stopped,
+            diverged,
         });
+    }
+
+    /// The run's checkpoint at `state`, with `model`'s current parameters.
+    fn checkpoint(&self, model: &PicModel, state: &TrainState) -> TrainCheckpoint {
+        let tc = self.cfg.train;
+        TrainCheckpoint {
+            pic_cfg: model.cfg,
+            epochs: tc.epochs,
+            lr: tc.lr,
+            batch: tc.batch,
+            seed: tc.seed,
+            data_fingerprint: self.fingerprint,
+            epochs_done: state.epochs_done,
+            rng_state: state.rng.state(),
+            order: state.order.iter().map(|&i| i as u32).collect(),
+            params: model.params.clone(),
+            best: state.best.clone(),
+            adam: state.opt.snapshot(),
+            epoch_losses: state.epoch_losses.clone(),
+            val_ap: state.val_ap.clone(),
+            anomalies: self.anomalies.clone(),
+            threshold: None,
+            early_stopped: false,
+            complete: false,
+        }
     }
 }
 
-/// Train `model` under supervision: anomaly guards with rollback-and-retry,
-/// epoch-granular checkpointing, patience-based early stopping, and
-/// best-validation-AP model selection identical to [`snowcat_nn::train`].
+impl TrainHook for Supervisor<'_> {
+    type Error = SnowcatError;
+
+    fn begin_attempt(&mut self, epoch: usize, attempt: usize) -> Option<EpochFault> {
+        self.cfg.fault_plan.epoch_fault(epoch, attempt)
+    }
+
+    fn supervised(&self) -> bool {
+        true
+    }
+
+    fn judge(
+        &mut self,
+        epoch: usize,
+        attempt: usize,
+        result: Result<&EpochOutcome, &EpochError>,
+        state: &TrainState,
+    ) -> Verdict<SnowcatError> {
+        let factor = self.cfg.divergence_factor;
+        let (kind, detail) = match result {
+            Ok(out) if !loss_diverged(out.mean_loss, &state.epoch_losses, factor) => {
+                self.attempt = attempt;
+                return Verdict::Accept;
+            }
+            Ok(out) => (
+                "loss-divergence",
+                format!(
+                    "mean epoch loss {} vs best prior {:?} (breaker x{factor})",
+                    out.mean_loss,
+                    state.epoch_losses.iter().copied().fold(f32::INFINITY, f32::min),
+                ),
+            ),
+            Err(EpochError::WorkerPanicked { message }) => ("worker-panic", message.clone()),
+            Err(e @ EpochError::NonFiniteLoss { .. }) => ("nan-loss", e.to_string()),
+            Err(e @ EpochError::NonFiniteGradient { .. }) => ("nan-grad", e.to_string()),
+        };
+        self.emit(TrainEvent::AnomalyDetected {
+            epoch: epoch as u64,
+            attempt: attempt as u64,
+            kind: kind.into(),
+            detail: detail.clone(),
+        });
+        let cause = format!("{kind}: {detail}");
+        self.anomalies.push(AnomalyEvent { epoch, attempt, kind: kind.into(), detail });
+        if attempt >= self.cfg.max_retries {
+            self.emit_finished(state, true);
+            return Verdict::Fail(SnowcatError::TrainingDiverged {
+                epoch,
+                retries: attempt,
+                cause,
+            });
+        }
+        self.emit(TrainEvent::RolledBack { epoch: epoch as u64, attempt: attempt as u64 + 1 });
+        Verdict::Retry
+    }
+
+    fn end_epoch(&mut self, model: &PicModel, state: &TrainState) -> Result<Next, SnowcatError> {
+        let cfg = self.cfg;
+        let (epoch, epochs_done) = (state.epochs_done - 1, state.epochs_done);
+        self.emit(TrainEvent::EpochCompleted {
+            epoch: epoch as u64,
+            attempt: self.attempt as u64,
+            loss: state.epoch_losses.last().map_or(f64::NAN, |&l| f64::from(l)),
+            val_ap: state.val_ap.last().copied(),
+        });
+        self.epochs_this_call += 1;
+        self.early_stopped = matches!(
+            (cfg.patience, &state.best),
+            (Some(p), Some((best_epoch, _, _))) if epoch - best_epoch >= p
+        );
+        let interrupted = !self.early_stopped
+            && cfg
+                .stop_after
+                .is_some_and(|n| self.epochs_this_call >= n && epochs_done < cfg.train.epochs);
+
+        if let Some(path) = &cfg.checkpoint_path {
+            if epochs_done.is_multiple_of(cfg.checkpoint_every.max(1))
+                || epochs_done == cfg.train.epochs
+                || self.early_stopped
+                || interrupted
+            {
+                save_train_checkpoint_atomic(path, &self.checkpoint(model, state))?;
+                self.emit(TrainEvent::CheckpointWritten {
+                    path: path.display().to_string(),
+                    epoch: epochs_done as u64,
+                    complete: false,
+                });
+            }
+        }
+        if cfg.fault_plan.kill_at(epoch) {
+            // Emulate SIGKILL: no cleanup, no final checkpoint.
+            std::process::exit(KILL_EXIT_CODE);
+        }
+        if cfg.stall_ms > 0 {
+            std::thread::sleep(std::time::Duration::from_millis(cfg.stall_ms));
+        }
+        Ok(if self.early_stopped {
+            Next::Finish
+        } else if interrupted {
+            Next::Interrupt
+        } else {
+            Next::Continue
+        })
+    }
+}
+
+/// Train `model` under supervision: the [`snowcat_nn::train`] loop with
+/// anomaly guards, rollback-and-retry, epoch-granular checkpointing and
+/// patience-based early stopping, then F2 threshold tuning on `valid`.
 ///
-/// With an empty fault plan, no resume and no early interruption, the final
-/// parameters are **bit-identical** to `snowcat_nn::train` with the same
-/// [`TrainConfig`] — at any thread count. With `resume`, continues from the
-/// checkpoint at `cfg.checkpoint_path`, again bit-identically.
-pub fn robust_train(
+/// When no guard trips, the final parameters are **bit-identical** to the
+/// plain loop (`&mut ()`) with the same [`TrainConfig`] — at any thread
+/// count. With `resume`, continues from the checkpoint at
+/// `cfg.checkpoint_path`, again bit-identically.
+pub fn robust_train<T: TrainExample>(
     model: &mut PicModel,
-    train_set: &[LabeledGraph<'_>],
+    train_set: &[T],
     valid: &[LabeledGraph<'_>],
     cfg: &RobustTrainConfig,
     resume: bool,
 ) -> Result<TrainRunReport, SnowcatError> {
     let tc = cfg.train;
-    let fingerprint = dataset_fingerprint(train_set);
-    let checkpoint_every = cfg.checkpoint_every.max(1);
-
-    let mut rng;
-    let mut opt;
-    let mut order: Vec<usize>;
-    let mut start_epoch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::new();
-    let mut val_ap: Vec<f64> = Vec::new();
-    let mut anomalies: Vec<AnomalyEvent> = Vec::new();
-    let mut best: Option<(usize, f64, PicParams)> = None;
-    let mut ewma = 0.0f32;
-    let mut ewma_steps = 0u64;
-
+    let mut sup = Supervisor {
+        cfg,
+        fingerprint: dataset_fingerprint(train_set),
+        anomalies: Vec::new(),
+        attempt: 0,
+        epochs_this_call: 0,
+        early_stopped: false,
+    };
+    let mut resume_state = None;
     if resume {
         let path = cfg.checkpoint_path.as_deref().ok_or_else(|| {
             SnowcatError::Config("resume requested but no checkpoint path configured".into())
@@ -585,7 +684,7 @@ pub fn robust_train(
         if ck.pic_cfg != model.cfg {
             return Err(mismatch("model configuration"));
         }
-        if ck.data_fingerprint != fingerprint {
+        if ck.data_fingerprint != sup.fingerprint {
             return Err(mismatch("training-set fingerprint"));
         }
         if ck.epochs != tc.epochs
@@ -602,304 +701,55 @@ pub fn robust_train(
             model.params = ck.params.clone();
             return Ok(report_from_checkpoint(&ck));
         }
-        model.params = ck.params.clone();
-        opt = Adam::from_snapshot(&ck.adam);
-        rng = ChaCha8Rng::from_state(ck.rng_state);
-        order = ck.order.iter().map(|&i| i as usize).collect();
-        start_epoch = ck.epochs_done;
-        epoch_losses = ck.epoch_losses;
-        val_ap = ck.val_ap;
-        anomalies = ck.anomalies;
-        best = ck.best;
-        ewma = ck.ewma;
-        ewma_steps = ck.ewma_steps;
-    } else {
-        rng = ChaCha8Rng::seed_from_u64(tc.seed);
-        opt = Adam::new(AdamConfig { lr: tc.lr, ..Default::default() }, &model.params.shapes());
-        order = (0..train_set.len()).collect();
-    }
-
-    if let Some(sink) = &cfg.events {
-        sink.train(TrainEvent::Started {
-            epochs: tc.epochs as u64,
-            examples: train_set.len() as u64,
-            resumed_epoch: if resume { Some(start_epoch as u64) } else { None },
+        model.params = ck.params;
+        sup.anomalies = ck.anomalies;
+        resume_state = Some(TrainState {
+            epochs_done: ck.epochs_done,
+            rng: ChaCha8Rng::from_state(ck.rng_state),
+            order: ck.order.iter().map(|&i| i as usize).collect(),
+            opt: Adam::from_snapshot(&ck.adam),
+            epoch_losses: ck.epoch_losses,
+            val_ap: ck.val_ap,
+            best: ck.best,
         });
     }
-    let mut runner = EpochRunner::new(model);
-    let mut early_stopped = false;
-    let mut completed = true;
-    let mut epochs_this_call = 0usize;
 
-    let mut epoch = start_epoch;
-    while epoch < tc.epochs {
-        // Everything an epoch mutates, captured for rollback.
-        let pre_params = model.params.clone();
-        let pre_adam = opt.snapshot();
-        let pre_rng = rng.state();
-        let pre_order = order.clone();
-        let (pre_ewma, pre_ewma_steps) = (ewma, ewma_steps);
+    sup.emit(TrainEvent::Started {
+        epochs: tc.epochs as u64,
+        examples: train_set.len() as u64,
+        resumed_epoch: resume_state.as_ref().map(|s| s.epochs_done as u64),
+    });
+    let state = snowcat_nn::train(model, train_set, valid, tc, resume_state, &mut sup)?.state;
 
-        let mut attempt = 0usize;
-        let outcome = loop {
-            if attempt > 0 {
-                model.params = pre_params.clone();
-                opt = Adam::from_snapshot(&pre_adam);
-                order.copy_from_slice(&pre_order);
-                rng = ChaCha8Rng::from_state(salt_state(pre_rng, epoch, attempt));
-                ewma = pre_ewma;
-                ewma_steps = pre_ewma_steps;
-            }
-            order.shuffle(&mut rng);
-            let fault = cfg.fault_plan.epoch_fault(epoch, attempt);
-
-            let spike_factor = cfg.spike_factor;
-            let mut pending: Option<(String, String)> = None;
-            let mut g_ewma = ewma;
-            let mut g_steps = ewma_steps;
-            let mut obs = |info: &StepInfo| -> Result<(), String> {
-                if !info.loss_sum.is_finite() {
-                    let d = format!("non-finite batch loss at step {}", info.step);
-                    pending = Some(("nan-loss".into(), d.clone()));
-                    return Err(d);
-                }
-                if !info.grad_norm.is_finite() {
-                    let d = format!("non-finite gradient norm at step {}", info.step);
-                    pending = Some(("nan-grad".into(), d.clone()));
-                    return Err(d);
-                }
-                if g_steps >= EWMA_WARMUP && g_ewma > 0.0 && info.grad_norm > spike_factor * g_ewma
-                {
-                    let d = format!(
-                        "gradient norm {:.4} exceeds {spike_factor}x EWMA baseline {:.4} at \
-                         step {}",
-                        info.grad_norm, g_ewma, info.step
-                    );
-                    pending = Some(("grad-spike".into(), d.clone()));
-                    return Err(d);
-                }
-                g_ewma = if g_steps == 0 {
-                    info.grad_norm
-                } else {
-                    EWMA_ALPHA * info.grad_norm + (1.0 - EWMA_ALPHA) * g_ewma
-                };
-                g_steps += 1;
-                Ok(())
-            };
-            let result = runner.run_coverage_epoch(
-                model,
-                train_set,
-                &order,
-                tc.batch,
-                tc.threads,
-                &mut opt,
-                fault,
-                Some(&mut obs),
-            );
-            match result {
-                Ok(out) => {
-                    if loss_diverged(out.mean_loss, &epoch_losses, cfg.divergence_factor) {
-                        anomalies.push(AnomalyEvent {
-                            epoch,
-                            attempt,
-                            kind: "loss-divergence".into(),
-                            detail: format!(
-                                "mean epoch loss {} vs best prior {:?} (breaker x{})",
-                                out.mean_loss,
-                                epoch_losses.iter().copied().fold(f32::INFINITY, f32::min),
-                                cfg.divergence_factor
-                            ),
-                        });
-                        emit_anomaly(cfg, anomalies.last());
-                    } else {
-                        ewma = g_ewma;
-                        ewma_steps = g_steps;
-                        break out;
-                    }
-                }
-                Err(EpochError::WorkerPanicked { message }) => {
-                    anomalies.push(AnomalyEvent {
-                        epoch,
-                        attempt,
-                        kind: "worker-panic".into(),
-                        detail: message,
-                    });
-                    emit_anomaly(cfg, anomalies.last());
-                }
-                Err(EpochError::Aborted { step, reason }) => {
-                    let (kind, detail) = pending
-                        .take()
-                        .unwrap_or(("anomaly".into(), format!("step {step}: {reason}")));
-                    anomalies.push(AnomalyEvent { epoch, attempt, kind, detail });
-                    emit_anomaly(cfg, anomalies.last());
-                }
-            }
-            if attempt >= cfg.max_retries {
-                // Leave the caller's model at the last good state rather
-                // than mid-poisoned-epoch.
-                model.params = pre_params;
-                let cause = anomalies
-                    .last()
-                    .map(|a| format!("{}: {}", a.kind, a.detail))
-                    .unwrap_or_else(|| "unknown anomaly".into());
-                if let Some(sink) = &cfg.events {
-                    sink.train(TrainEvent::Finished {
-                        epochs: epoch_losses.len() as u64,
-                        best_epoch: best.as_ref().map(|b| b.0 as u64),
-                        best_val_ap: best.as_ref().map(|b| b.1),
-                        early_stopped: false,
-                        diverged: true,
-                    });
-                }
-                return Err(SnowcatError::TrainingDiverged { epoch, retries: attempt, cause });
-            }
-            attempt += 1;
-            if let Some(sink) = &cfg.events {
-                sink.train(TrainEvent::RolledBack { epoch: epoch as u64, attempt: attempt as u64 });
-            }
-        };
-
-        epoch_losses.push(outcome.mean_loss);
-        if !valid.is_empty() {
-            let ap = urb_average_precision(model, valid);
-            val_ap.push(ap);
-            let best_ap = best.as_ref().map(|b| b.1).unwrap_or(f64::NEG_INFINITY);
-            if ap > best_ap {
-                best = Some((epoch, ap, model.params.clone()));
-            }
-        }
-        if let Some(sink) = &cfg.events {
-            sink.train(TrainEvent::EpochCompleted {
-                epoch: epoch as u64,
-                attempt: attempt as u64,
-                loss: f64::from(outcome.mean_loss),
-                val_ap: val_ap.last().copied(),
-            });
-        }
-        let epochs_done = epoch + 1;
-        epochs_this_call += 1;
-
-        if let (Some(p), Some((best_epoch, _, _))) = (cfg.patience, best.as_ref()) {
-            if epoch - best_epoch >= p {
-                early_stopped = true;
-            }
-        }
-        let stopping = early_stopped
-            || cfg.stop_after.is_some_and(|n| epochs_this_call >= n && epochs_done < tc.epochs);
-
-        let mut wrote = false;
-        if let Some(path) = &cfg.checkpoint_path {
-            if epochs_done.is_multiple_of(checkpoint_every) || epochs_done == tc.epochs || stopping
-            {
-                let ck = TrainCheckpoint {
-                    pic_cfg: model.cfg,
-                    epochs: tc.epochs,
-                    lr: tc.lr,
-                    batch: tc.batch,
-                    seed: tc.seed,
-                    data_fingerprint: fingerprint,
-                    epochs_done,
-                    rng_state: rng.state(),
-                    order: order.iter().map(|&i| i as u32).collect(),
-                    params: model.params.clone(),
-                    best: best.clone(),
-                    adam: opt.snapshot(),
-                    ewma,
-                    ewma_steps,
-                    epoch_losses: epoch_losses.clone(),
-                    val_ap: val_ap.clone(),
-                    anomalies: anomalies.clone(),
-                    threshold: None,
-                    early_stopped: false,
-                    complete: false,
-                };
-                save_train_checkpoint_atomic(path, &ck)?;
-                if let Some(sink) = &cfg.events {
-                    sink.train(TrainEvent::CheckpointWritten {
-                        path: path.display().to_string(),
-                        epoch: epochs_done as u64,
-                        complete: false,
-                    });
-                }
-                wrote = true;
-            }
-        }
-        let _ = wrote;
-
-        if cfg.fault_plan.kill_at(epoch) {
-            // Emulate SIGKILL: no cleanup, no final checkpoint.
-            std::process::exit(KILL_EXIT_CODE);
-        }
-        if cfg.stall_ms > 0 {
-            std::thread::sleep(std::time::Duration::from_millis(cfg.stall_ms));
-        }
-        if stopping && !early_stopped {
-            completed = false;
-        }
-        epoch += 1;
-        if stopping {
-            break;
-        }
-    }
-
-    let best_epoch = best.as_ref().map(|b| b.0);
+    let completed = sup.early_stopped || state.epochs_done >= tc.epochs;
     let mut threshold = None;
     if completed {
-        if let Some((_, _, p)) = &best {
-            model.params = p.clone();
-        }
         if !valid.is_empty() {
             threshold = Some(tune_threshold_f2_pooled(model, valid));
         }
         if let Some(path) = &cfg.checkpoint_path {
             let ck = TrainCheckpoint {
-                pic_cfg: model.cfg,
-                epochs: tc.epochs,
-                lr: tc.lr,
-                batch: tc.batch,
-                seed: tc.seed,
-                data_fingerprint: fingerprint,
-                epochs_done: epoch,
-                rng_state: rng.state(),
-                order: order.iter().map(|&i| i as u32).collect(),
-                params: model.params.clone(),
-                best: best.clone(),
-                adam: opt.snapshot(),
-                ewma,
-                ewma_steps,
-                epoch_losses: epoch_losses.clone(),
-                val_ap: val_ap.clone(),
-                anomalies: anomalies.clone(),
                 threshold,
-                early_stopped,
+                early_stopped: sup.early_stopped,
                 complete: true,
+                ..sup.checkpoint(model, &state)
             };
             save_train_checkpoint_atomic(path, &ck)?;
-            if let Some(sink) = &cfg.events {
-                sink.train(TrainEvent::CheckpointWritten {
-                    path: path.display().to_string(),
-                    epoch: epoch as u64,
-                    complete: true,
-                });
-            }
+            sup.emit(TrainEvent::CheckpointWritten {
+                path: path.display().to_string(),
+                epoch: state.epochs_done as u64,
+                complete: true,
+            });
         }
     }
-    if let Some(sink) = &cfg.events {
-        sink.train(TrainEvent::Finished {
-            epochs: epoch_losses.len() as u64,
-            best_epoch: best_epoch.map(|e| e as u64),
-            best_val_ap: best.as_ref().map(|b| b.1),
-            early_stopped,
-            diverged: false,
-        });
-    }
+    sup.emit_finished(&state, false);
     Ok(TrainRunReport {
-        epoch_losses,
-        val_ap,
-        best_epoch,
+        best_epoch: state.best.map(|b| b.0),
+        epoch_losses: state.epoch_losses,
+        val_ap: state.val_ap,
         threshold,
-        anomalies,
-        early_stopped,
+        anomalies: sup.anomalies,
+        early_stopped: sup.early_stopped,
         completed,
         params_crc32: params_crc32(&model.params),
     })
@@ -991,12 +841,11 @@ mod tests {
 
     #[test]
     fn fault_plan_grammar_parses_and_rejects() {
-        let plan =
-            TrainFaultPlan::parse("nan@0,spike@1x2,panic@2,shard@0:flip,shard@3:trunc,kill@4")
-                .unwrap();
+        let plan = TrainFaultPlan::parse("nan@0,nan@1x2,panic@2,shard@0:flip,shard@3:trunc,kill@4")
+            .unwrap();
         assert_eq!(plan.epoch_fault(0, 0), Some(EpochFault::NanGrads));
         assert_eq!(plan.epoch_fault(0, 1), None);
-        assert_eq!(plan.epoch_fault(1, 1), Some(EpochFault::SpikeGrads(SPIKE_MAGNITUDE)));
+        assert_eq!(plan.epoch_fault(1, 1), Some(EpochFault::NanGrads));
         assert_eq!(plan.epoch_fault(1, 2), None);
         assert_eq!(plan.epoch_fault(2, 0), Some(EpochFault::WorkerPanic));
         assert_eq!(plan.shard_fault(0), Some(CorruptionKind::Flip));
@@ -1008,7 +857,8 @@ mod tests {
             "nan",
             "nan@",
             "nan@1x0",
-            "spike@x",
+            "nan@x",
+            "spike@1",
             "shard@1",
             "shard@1:melt",
             "kill@x",
@@ -1017,17 +867,6 @@ mod tests {
         ] {
             assert!(TrainFaultPlan::parse(bad).is_err(), "'{bad}' should not parse");
         }
-    }
-
-    #[test]
-    fn salted_states_differ_per_attempt() {
-        let base = [1u64, 2, 3, 4];
-        let a1 = salt_state(base, 3, 1);
-        let a2 = salt_state(base, 3, 2);
-        let b1 = salt_state(base, 4, 1);
-        assert_ne!(a1, base);
-        assert_ne!(a1, a2);
-        assert_ne!(a1, b1);
     }
 
     #[test]

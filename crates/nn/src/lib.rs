@@ -16,10 +16,12 @@
 //!   message passing and the [`model::PicSession`] zero-allocation
 //!   inference path,
 //! * [`metrics`] — precision/recall/F1/F2/accuracy/balanced-accuracy/AP,
-//! * [`train`] — data-parallel training loop (bit-identical across thread
-//!   counts) with best-validation-AP checkpointing, F2-based threshold
-//!   tuning, evaluation helpers, panic-contained workers and the
-//!   [`train::EpochRunner`] seam supervised trainers build on,
+//! * [`train`] — the one data-parallel epoch loop (bit-identical across
+//!   thread counts) with best-validation-AP checkpointing, resumable from a
+//!   [`train::TrainState`] and supervised through a [`train::TrainHook`]
+//!   (rollback and salted retry, NaN/Inf step guards, fault injection),
+//!   plus F2-based threshold tuning, evaluation helpers and panic-contained
+//!   workers,
 //! * [`binser`] — bit-exact little-endian binary serialization for model
 //!   and optimizer state (IEEE bit patterns, no decimal round-trip).
 
@@ -42,8 +44,8 @@ pub use optim::{Adam, AdamConfig, AdamSnapshot};
 pub use tensor::{Mat, Scratch};
 pub use train::{
     dataset_fingerprint, evaluate, evaluate_pooled, evaluate_predictions,
-    evaluate_predictions_pooled, flow_average_precision, train, train_with_flows,
-    tune_threshold_f2, tune_threshold_f2_pooled, urb_average_precision, Checkpoint, EpochError,
-    EpochFault, EpochOutcome, EpochRunner, FlowLabeledGraph, LabeledGraph, StepInfo, StepObserver,
-    TrainConfig, TrainReport,
+    evaluate_predictions_pooled, flow_average_precision, train, tune_threshold_f2,
+    tune_threshold_f2_pooled, urb_average_precision, Checkpoint, EpochError, EpochFault,
+    EpochOutcome, FlowLabeledGraph, LabeledGraph, Next, TrainConfig, TrainExample, TrainHook,
+    TrainReport, TrainState, Verdict,
 };

@@ -24,6 +24,37 @@ pub type LabeledGraph<'a> = (&'a CtGraph, &'a [bool]);
 /// coverage + inter-thread-flow training (§6 future work).
 pub type FlowLabeledGraph<'a> = (&'a CtGraph, &'a [bool], &'a [bool]);
 
+/// A training example. Its type selects the task: a [`LabeledGraph`] trains
+/// the coverage head, a [`FlowLabeledGraph`] trains the coverage and
+/// inter-thread-flow heads jointly. Model selection follows validation URB
+/// AP either way (coverage is the primary task; the flow head is auxiliary).
+pub trait TrainExample: Copy + Sync {
+    /// The graph and its vertex coverage labels.
+    fn labeled(&self) -> LabeledGraph<'_>;
+    /// Edge flow labels, aligned with the graph's edges, for joint training.
+    fn flows(&self) -> Option<&[bool]>;
+}
+
+impl TrainExample for LabeledGraph<'_> {
+    fn labeled(&self) -> LabeledGraph<'_> {
+        *self
+    }
+
+    fn flows(&self) -> Option<&[bool]> {
+        None
+    }
+}
+
+impl TrainExample for FlowLabeledGraph<'_> {
+    fn labeled(&self) -> LabeledGraph<'_> {
+        (self.0, self.1)
+    }
+
+    fn flows(&self) -> Option<&[bool]> {
+        Some(self.2)
+    }
+}
+
 /// Training configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct TrainConfig {
@@ -46,6 +77,10 @@ impl Default for TrainConfig {
         Self { epochs: 5, lr: 2e-3, batch: 4, seed: 0x7EA1, threads: 1 }
     }
 }
+
+/// Salt mixed into the RNG state on epoch retries (distinct from the
+/// supervisor's hang-retry salt).
+const RETRY_SALT: u64 = 0x7A19_EE0C_55AB_41D7;
 
 /// Pooled per-graph gradient buffers, scratch arenas and loss slots, sized
 /// to the largest batch seen and reused for the whole training run — no
@@ -139,57 +174,59 @@ fn batch_gradients<T: Sync>(
     Ok(pool.losses[..batch.len()].iter().sum())
 }
 
-/// Result of a training run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrainReport {
-    /// Mean training loss per epoch.
+/// Everything [`train`]'s loop carries from one epoch to the next. Passing
+/// a captured state back as `resume` continues the run bit-identically, at
+/// any thread count.
+#[derive(Debug)]
+pub struct TrainState {
+    /// Epochs completed.
+    pub epochs_done: usize,
+    /// The shuffle RNG, positioned after the last completed epoch's shuffle.
+    pub rng: ChaCha8Rng,
+    /// The cumulative shuffle permutation. `shuffle` permutes in place, so
+    /// each epoch's order depends on every earlier shuffle; the RNG position
+    /// alone does not reproduce it.
+    pub order: Vec<usize>,
+    /// The optimizer.
+    pub opt: Adam,
+    /// Mean training loss per completed epoch.
     pub epoch_losses: Vec<f32>,
-    /// Validation AP (URBs only) per epoch, if a validation set was given.
+    /// Validation URB AP per completed epoch (empty without a validation set).
     pub val_ap: Vec<f64>,
+    /// Best validation epoch so far: (epoch, URB AP, parameters).
+    pub best: Option<(usize, f64, PicParams)>,
+}
+
+/// Result of a training run.
+#[derive(Debug)]
+pub struct TrainReport {
+    /// The loop's state when it stopped: losses, validation AP and the best
+    /// epoch, plus what a resumed run needs.
+    pub state: TrainState,
     /// Wall-clock seconds spent training.
     pub train_seconds: f64,
 }
 
-/// Per-step observation handed to an epoch observer after gradients are
-/// reduced and **before** the optimizer applies them — an observer that
-/// rejects the step therefore keeps poisoned gradients out of the model.
-#[derive(Debug, Clone, Copy)]
-pub struct StepInfo {
-    /// Optimizer step index within the epoch (0-based).
-    pub step: usize,
-    /// Sum of per-graph losses over the batch.
-    pub loss_sum: f32,
-    /// Graphs in the batch.
-    pub batch_len: usize,
-    /// Global L2 norm of the accumulated (un-scaled) batch gradient. Only
-    /// computed when an observer is installed — the plain training path
-    /// pays nothing for it.
-    pub grad_norm: f32,
-}
-
-/// Why an epoch stopped early.
+/// Why an epoch attempt stopped early. The failing step never reached the
+/// optimizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EpochError {
-    /// A training worker panicked; the panic was contained and the
-    /// optimizer state is unchanged for this step.
+    /// A training worker panicked; the panic was contained.
     WorkerPanicked {
         /// The worker's panic message.
         message: String,
     },
-    /// The step observer rejected the step (anomaly guard tripped) before
-    /// the optimizer applied its gradients.
-    Aborted {
-        /// Optimizer step index that was rejected.
+    /// A guarded step's batch loss was NaN or infinite.
+    NonFiniteLoss {
+        /// Optimizer step index within the epoch (0-based).
         step: usize,
-        /// Observer-provided reason.
-        reason: String,
+    },
+    /// A guarded step's gradient norm was NaN or infinite.
+    NonFiniteGradient {
+        /// Optimizer step index within the epoch (0-based).
+        step: usize,
     },
 }
-
-/// A per-step observer hook: sees each [`StepInfo`] after gradient
-/// reduction and may reject the step with a reason, aborting the epoch
-/// (see [`EpochError::Aborted`]).
-pub type StepObserver<'a> = &'a mut dyn FnMut(&StepInfo) -> Result<(), String>;
 
 impl std::fmt::Display for EpochError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -197,8 +234,11 @@ impl std::fmt::Display for EpochError {
             EpochError::WorkerPanicked { message } => {
                 write!(f, "training worker panicked: {message}")
             }
-            EpochError::Aborted { step, reason } => {
-                write!(f, "epoch aborted at step {step}: {reason}")
+            EpochError::NonFiniteLoss { step } => {
+                write!(f, "non-finite batch loss at step {step}")
+            }
+            EpochError::NonFiniteGradient { step } => {
+                write!(f, "non-finite gradient norm at step {step}")
             }
         }
     }
@@ -206,14 +246,12 @@ impl std::fmt::Display for EpochError {
 
 impl std::error::Error for EpochError {}
 
-/// Deterministic fault injected into an epoch's first optimizer step —
-/// the seam the robustness harness uses to prove the anomaly guards fire.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Deterministic fault injected into an epoch's first optimizer step — the
+/// seam the robustness harness uses to prove the guards fire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EpochFault {
     /// Overwrite one accumulated gradient entry with NaN.
     NanGrads,
-    /// Scale the accumulated gradients by this factor (norm spike).
-    SpikeGrads(f32),
     /// Make the first batch's workers panic.
     WorkerPanic,
 }
@@ -229,145 +267,146 @@ pub struct EpochOutcome {
     pub steps: usize,
 }
 
-/// Reusable epoch executor: owns the pooled gradient buffers and runs one
-/// epoch of the exact loop [`train`] uses — same batch assembly, same
-/// reduction order, same float operation sequence — so a supervised trainer
-/// built on it is bit-identical to the plain path when no observer or fault
-/// intervenes.
-pub struct EpochRunner {
+/// What a [`TrainHook`] decides about one epoch attempt.
+#[derive(Debug)]
+pub enum Verdict<E> {
+    /// Keep the epoch. Only an attempt that completed can be kept.
+    Accept,
+    /// Roll the epoch back and run it again from a salted shuffle (a
+    /// supervising hook only).
+    Retry,
+    /// End the run with this error. Under a supervising hook the model is
+    /// rolled back to its pre-epoch parameters.
+    Fail(E),
+}
+
+/// What [`train`] does after a completed epoch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Next {
+    /// Run the next epoch, if the schedule has one.
+    Continue,
+    /// Stop early and keep the best validation parameters, as at the end of
+    /// the schedule.
+    Finish,
+    /// Stop and leave the model at this epoch's parameters; the returned
+    /// state resumes the run.
+    Interrupt,
+}
+
+/// Supervision of [`train`]'s epoch loop. `()` is the plain loop: no
+/// faults, no step guards, no rollback, and an epoch error fails the run.
+pub trait TrainHook {
+    /// Error that ends a run.
+    type Error;
+
+    /// The fault to inject into the first step of this attempt at `epoch`
+    /// (attempt 0 is the first try).
+    fn begin_attempt(&mut self, _epoch: usize, _attempt: usize) -> Option<EpochFault> {
+        None
+    }
+
+    /// Whether the loop supervises each epoch: every step checks its batch
+    /// loss and gradient norm for NaN/Inf before the optimizer applies it,
+    /// and the pre-epoch state is kept so that [`Verdict::Retry`] and
+    /// [`Verdict::Fail`] can roll the epoch back. An unsupervised run (the
+    /// plain loop) pays for neither; it must not retry, and a failed run
+    /// stops where the error struck.
+    fn supervised(&self) -> bool {
+        false
+    }
+
+    /// Judge one attempt at `epoch`; `state` still holds only the epochs
+    /// completed before it.
+    fn judge(
+        &mut self,
+        epoch: usize,
+        attempt: usize,
+        result: Result<&EpochOutcome, &EpochError>,
+        state: &TrainState,
+    ) -> Verdict<Self::Error>;
+
+    /// Called after each completed epoch, once its loss, validation AP and
+    /// best-epoch update are in `state`.
+    fn end_epoch(&mut self, _model: &PicModel, _state: &TrainState) -> Result<Next, Self::Error> {
+        Ok(Next::Continue)
+    }
+}
+
+impl TrainHook for () {
+    type Error = EpochError;
+
+    fn judge(
+        &mut self,
+        _epoch: usize,
+        _attempt: usize,
+        result: Result<&EpochOutcome, &EpochError>,
+        _state: &TrainState,
+    ) -> Verdict<EpochError> {
+        match result {
+            Ok(_) => Verdict::Accept,
+            Err(e) => Verdict::Fail(e.clone()),
+        }
+    }
+}
+
+/// Pooled gradient buffers plus one epoch of [`train`]'s loop body.
+struct EpochRunner {
     pool: ShardPool,
     grads: PicParams,
 }
 
 impl EpochRunner {
-    /// Allocate buffers shaped like `model`'s parameters.
-    pub fn new(model: &PicModel) -> Self {
+    fn new(model: &PicModel) -> Self {
         Self { pool: ShardPool::default(), grads: model.params.zeros_like() }
     }
 
-    /// Run one coverage-training epoch over `train[order]`.
+    /// Run one epoch over `examples[order]`: `fault` hits the first step,
+    /// and with `guard` a step whose loss or gradient norm is not finite is
+    /// rejected before the optimizer applies it.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_coverage_epoch(
+    fn run_epoch<T: TrainExample>(
         &mut self,
         model: &mut PicModel,
-        train: &[LabeledGraph<'_>],
+        examples: &[T],
         order: &[usize],
         batch: usize,
         threads: usize,
         opt: &mut Adam,
         fault: Option<EpochFault>,
-        observer: Option<StepObserver<'_>>,
+        guard: bool,
     ) -> Result<EpochOutcome, EpochError> {
-        let per_item = |m: &PicModel,
-                        &(g, labels): &LabeledGraph<'_>,
-                        gb: &mut PicParams,
-                        sc: &mut Scratch| {
+        let per_item = |m: &PicModel, ex: &T, gb: &mut PicParams, sc: &mut Scratch| {
+            let (g, labels) = ex.labeled();
             let (_, cache) = m.forward_cached(g);
-            m.backward(g, &cache, labels, gb, sc)
-        };
-        self.run_epoch_generic(
-            model,
-            train,
-            order,
-            batch,
-            threads,
-            opt,
-            fault,
-            observer,
-            &|&(g, _)| g.num_verts() == 0,
-            &per_item,
-        )
-    }
-
-    /// Run one joint coverage+flow training epoch over `train[order]`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_flow_epoch(
-        &mut self,
-        model: &mut PicModel,
-        train: &[FlowLabeledGraph<'_>],
-        order: &[usize],
-        batch: usize,
-        threads: usize,
-        opt: &mut Adam,
-        fault: Option<EpochFault>,
-        observer: Option<StepObserver<'_>>,
-    ) -> Result<EpochOutcome, EpochError> {
-        let per_item = |m: &PicModel,
-                        &(g, labels, flows): &FlowLabeledGraph<'_>,
-                        gb: &mut PicParams,
-                        sc: &mut Scratch| {
-            let (_, cache) = m.forward_cached(g);
-            let (lv, lf) = m.backward_with_flows(g, &cache, labels, flows, gb, sc);
-            lv + lf
-        };
-        self.run_epoch_generic(
-            model,
-            train,
-            order,
-            batch,
-            threads,
-            opt,
-            fault,
-            observer,
-            &|&(g, _, _)| g.num_verts() == 0,
-            &per_item,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_epoch_generic<T: Sync + Copy>(
-        &mut self,
-        model: &mut PicModel,
-        train: &[T],
-        order: &[usize],
-        batch: usize,
-        threads: usize,
-        opt: &mut Adam,
-        fault: Option<EpochFault>,
-        mut observer: Option<StepObserver<'_>>,
-        is_empty: &dyn Fn(&T) -> bool,
-        per_item: &(dyn Fn(&PicModel, &T, &mut PicParams, &mut Scratch) -> f32 + Sync),
-    ) -> Result<EpochOutcome, EpochError> {
-        let mut batch_buf: Vec<T> = Vec::with_capacity(batch);
-        let mut total_loss = 0.0f32;
-        let mut graphs = 0usize;
-        let mut steps = 0usize;
-        for &i in order {
-            let item = train[i];
-            if is_empty(&item) {
-                continue;
+            match ex.flows() {
+                None => m.backward(g, &cache, labels, gb, sc),
+                Some(flows) => {
+                    let (lv, lf) = m.backward_with_flows(g, &cache, labels, flows, gb, sc);
+                    lv + lf
+                }
             }
-            batch_buf.push(item);
-            if batch_buf.len() == batch {
-                total_loss += self.step_batch(
-                    model,
-                    &batch_buf,
-                    threads,
-                    opt,
-                    steps,
-                    fault,
-                    &mut observer,
-                    per_item,
-                )?;
-                graphs += batch_buf.len();
-                steps += 1;
-                batch_buf.clear();
+        };
+        let (mut total_loss, mut graphs, mut steps) = (0.0f32, 0usize, 0usize);
+        let mut flush = |buf: &mut Vec<T>| -> Result<(), EpochError> {
+            total_loss +=
+                self.step_batch(model, buf, threads, opt, steps, fault, guard, &per_item)?;
+            graphs += buf.len();
+            steps += 1;
+            buf.clear();
+            Ok(())
+        };
+        let mut batch_buf: Vec<T> = Vec::with_capacity(batch);
+        for &i in order {
+            let ex = examples[i];
+            if ex.labeled().0.num_verts() > 0 {
+                batch_buf.push(ex);
+                if batch_buf.len() == batch {
+                    flush(&mut batch_buf)?;
+                }
             }
         }
         if !batch_buf.is_empty() {
-            total_loss += self.step_batch(
-                model,
-                &batch_buf,
-                threads,
-                opt,
-                steps,
-                fault,
-                &mut observer,
-                per_item,
-            )?;
-            graphs += batch_buf.len();
-            steps += 1;
-            batch_buf.clear();
+            flush(&mut batch_buf)?;
         }
         Ok(EpochOutcome {
             mean_loss: if graphs == 0 { 0.0 } else { total_loss / graphs as f32 },
@@ -385,11 +424,11 @@ impl EpochRunner {
         opt: &mut Adam,
         step: usize,
         fault: Option<EpochFault>,
-        observer: &mut Option<StepObserver<'_>>,
+        guard: bool,
         per_item: &(dyn Fn(&PicModel, &T, &mut PicParams, &mut Scratch) -> f32 + Sync),
     ) -> Result<f32, EpochError> {
         let inject = if step == 0 { fault } else { None };
-        let loss_sum = if matches!(inject, Some(EpochFault::WorkerPanic)) {
+        let loss_sum = if inject == Some(EpochFault::WorkerPanic) {
             let panicking = |_m: &PicModel, _item: &T, _gb: &mut PicParams, _sc: &mut Scratch| {
                 panic!("injected training-worker panic")
             };
@@ -398,35 +437,32 @@ impl EpochRunner {
             batch_gradients(model, batch_buf, &mut self.pool, threads, &mut self.grads, per_item)
         }
         .map_err(|message| EpochError::WorkerPanicked { message })?;
-        match inject {
-            Some(EpochFault::NanGrads) => {
-                if let Some(t) = self.grads.tensors_mut().into_iter().next() {
-                    if let Some(x) = t.data.first_mut() {
-                        *x = f32::NAN;
-                    }
-                }
+        if inject == Some(EpochFault::NanGrads) {
+            if let Some(x) =
+                self.grads.tensors_mut().into_iter().next().and_then(|t| t.data.first_mut())
+            {
+                *x = f32::NAN;
             }
-            Some(EpochFault::SpikeGrads(factor)) => {
-                for t in self.grads.tensors_mut() {
-                    t.scale(factor);
-                }
-            }
-            _ => {}
         }
-        if let Some(obs) = observer {
-            let sq: f32 = self
+        if guard {
+            let sq_norm: f32 = self
                 .grads
                 .tensors()
                 .iter()
                 .map(|t| t.data.iter().map(|x| x * x).sum::<f32>())
                 .sum();
-            let info =
-                StepInfo { step, loss_sum, batch_len: batch_buf.len(), grad_norm: sq.sqrt() };
-            if let Err(reason) = obs(&info) {
-                // Leave the buffers clean for the next (retried) epoch; the
-                // model and optimizer were not touched by this step.
+            let rejected = if !loss_sum.is_finite() {
+                Some(EpochError::NonFiniteLoss { step })
+            } else if !sq_norm.is_finite() {
+                Some(EpochError::NonFiniteGradient { step })
+            } else {
+                None
+            };
+            if let Some(e) = rejected {
+                // Leave the buffers clean for the retried epoch; the model
+                // and optimizer were not touched by this step.
                 self.grads.zero_all();
-                return Err(EpochError::Aborted { step, reason });
+                return Err(e);
             }
         }
         apply(opt, model, &mut self.grads, batch_buf.len());
@@ -434,12 +470,31 @@ impl EpochRunner {
     }
 }
 
+/// Mix (epoch, attempt) into a captured RNG state for a salted retry —
+/// splitmix64-style, so retry streams are decorrelated from the original
+/// and from each other.
+fn salt_state(state: [u64; 4], epoch: usize, attempt: usize) -> [u64; 4] {
+    let mut s = state;
+    let mut z = (epoch as u64)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add((attempt as u64).wrapping_mul(RETRY_SALT));
+    for w in &mut s {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut x = z;
+        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        *w ^= x ^ (x >> 31);
+    }
+    s
+}
+
 /// Order-insensitive-to-nothing structural fingerprint of a training set:
 /// FNV-1a folded over example count, per-graph vertex/edge counts, vertex
-/// tokens and positive-label indices. Resume validation compares it to the
+/// tokens and positive-label indices, and for flow examples the flow-label
+/// count and positive flow indices. Resume validation compares it to the
 /// one stored in the training checkpoint — continuing a run on different
-/// data cannot silently produce a "resumed" model.
-pub fn dataset_fingerprint(examples: &[LabeledGraph<'_>]) -> u64 {
+/// data, or on the other task, cannot silently produce a "resumed" model.
+pub fn dataset_fingerprint<T: TrainExample>(examples: &[T]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     let mix = |h: &mut u64, x: u64| {
         for b in x.to_le_bytes() {
@@ -447,8 +502,16 @@ pub fn dataset_fingerprint(examples: &[LabeledGraph<'_>]) -> u64 {
             *h = h.wrapping_mul(0x100_0000_01b3);
         }
     };
+    let mix_positives = |h: &mut u64, labels: &[bool]| {
+        for (i, &l) in labels.iter().enumerate() {
+            if l {
+                mix(h, i as u64);
+            }
+        }
+    };
     mix(&mut h, examples.len() as u64);
-    for &(g, labels) in examples {
+    for ex in examples {
+        let (g, labels) = ex.labeled();
         mix(&mut h, g.num_verts() as u64);
         mix(&mut h, g.edges.len() as u64);
         for v in &g.verts {
@@ -457,56 +520,102 @@ pub fn dataset_fingerprint(examples: &[LabeledGraph<'_>]) -> u64 {
                 mix(&mut h, u64::from(t));
             }
         }
-        for (i, &l) in labels.iter().enumerate() {
-            if l {
-                mix(&mut h, i as u64);
-            }
+        mix_positives(&mut h, labels);
+        if let Some(flows) = ex.flows() {
+            mix(&mut h, flows.len() as u64);
+            mix_positives(&mut h, flows);
         }
     }
     h
 }
 
-/// Train `model` on `train`, tracking URB average precision on `valid` after
-/// each epoch. Keeps the checkpoint (parameters) with the best validation AP
-/// — the paper's model-selection rule ("chose the model training checkpoint
+/// Train `model` on `examples`, tracking URB average precision on `valid`
+/// after each epoch, and keep the parameters with the best validation AP —
+/// the paper's model-selection rule ("chose the model training checkpoint
 /// with the highest Average Precision … over URBs only").
-pub fn train(
+///
+/// This is the only epoch loop. `resume` continues from a captured
+/// [`TrainState`] (`None` starts a fresh run), and `hook` supervises it;
+/// `&mut ()` is the plain loop. When a supervising hook retries an epoch,
+/// the loop restores the parameters, the optimizer, the RNG and the order
+/// it had before the epoch and reshuffles from a salted RNG state; when it
+/// fails the run, the model is left at its pre-epoch parameters.
+pub fn train<T: TrainExample, H: TrainHook>(
     model: &mut PicModel,
-    train: &[LabeledGraph<'_>],
+    examples: &[T],
     valid: &[LabeledGraph<'_>],
     cfg: TrainConfig,
-) -> TrainReport {
+    resume: Option<TrainState>,
+    hook: &mut H,
+) -> Result<TrainReport, H::Error> {
     let started = std::time::Instant::now();
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut opt =
-        Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() }, &model.params.shapes());
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut epoch_losses = Vec::new();
-    let mut val_ap = Vec::new();
-    let mut best_ap = f64::NEG_INFINITY;
-    let mut best_params: Option<PicParams> = None;
-
+    let mut state = resume.unwrap_or_else(|| TrainState {
+        epochs_done: 0,
+        rng: ChaCha8Rng::seed_from_u64(cfg.seed),
+        order: (0..examples.len()).collect(),
+        opt: Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() }, &model.params.shapes()),
+        epoch_losses: Vec::new(),
+        val_ap: Vec::new(),
+        best: None,
+    });
     let mut runner = EpochRunner::new(model);
-    for _ in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let outcome = runner
-            .run_coverage_epoch(model, train, &order, cfg.batch, cfg.threads, &mut opt, None, None)
-            .unwrap_or_else(|e| panic!("{e}"));
-        epoch_losses.push(outcome.mean_loss);
-
+    let mut next = Next::Continue;
+    while next == Next::Continue && state.epochs_done < cfg.epochs {
+        let epoch = state.epochs_done;
+        // Everything an epoch mutates, captured when the hook can roll back.
+        let rollback = hook.supervised().then(|| {
+            (model.params.clone(), state.opt.snapshot(), state.rng.state(), state.order.clone())
+        });
+        let mut attempt = 0usize;
+        let outcome = loop {
+            if attempt > 0 {
+                let (params, opt, rng, order) =
+                    rollback.as_ref().expect("only a supervising hook can retry");
+                model.params = params.clone();
+                state.opt = Adam::from_snapshot(opt);
+                state.order.copy_from_slice(order);
+                state.rng = ChaCha8Rng::from_state(salt_state(*rng, epoch, attempt));
+            }
+            state.order.shuffle(&mut state.rng);
+            let fault = hook.begin_attempt(epoch, attempt);
+            let result = runner.run_epoch(
+                model,
+                examples,
+                &state.order,
+                cfg.batch,
+                cfg.threads,
+                &mut state.opt,
+                fault,
+                hook.supervised(),
+            );
+            match hook.judge(epoch, attempt, result.as_ref(), &state) {
+                Verdict::Accept => break result.expect("a hook accepted a failed epoch"),
+                Verdict::Retry => attempt += 1,
+                Verdict::Fail(e) => {
+                    if let Some((params, ..)) = rollback {
+                        model.params = params;
+                    }
+                    return Err(e);
+                }
+            }
+        };
+        state.epoch_losses.push(outcome.mean_loss);
         if !valid.is_empty() {
             let ap = urb_average_precision(model, valid);
-            val_ap.push(ap);
-            if ap > best_ap {
-                best_ap = ap;
-                best_params = Some(model.params.clone());
+            state.val_ap.push(ap);
+            if ap > state.best.as_ref().map_or(f64::NEG_INFINITY, |b| b.1) {
+                state.best = Some((epoch, ap, model.params.clone()));
             }
         }
+        state.epochs_done += 1;
+        next = hook.end_epoch(model, &state)?;
     }
-    if let Some(p) = best_params {
-        model.params = p;
+    if next != Next::Interrupt {
+        if let Some((_, _, p)) = &state.best {
+            model.params = p.clone();
+        }
     }
-    TrainReport { epoch_losses, val_ap, train_seconds: started.elapsed().as_secs_f64() }
+    Ok(TrainReport { state, train_seconds: started.elapsed().as_secs_f64() })
 }
 
 fn apply(opt: &mut Adam, model: &mut PicModel, grads: &mut PicParams, batch: usize) {
@@ -520,47 +629,6 @@ fn apply(opt: &mut Adam, model: &mut PicModel, grads: &mut PicParams, batch: usi
         opt.step(&mut pl, &gl);
     }
     grads.zero_all();
-}
-
-/// Jointly train the coverage head and the inter-thread-flow head.
-/// Model selection still follows validation URB AP (coverage remains the
-/// primary task; the flow head is auxiliary).
-pub fn train_with_flows(
-    model: &mut PicModel,
-    train: &[FlowLabeledGraph<'_>],
-    valid: &[LabeledGraph<'_>],
-    cfg: TrainConfig,
-) -> TrainReport {
-    let started = std::time::Instant::now();
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut opt =
-        Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() }, &model.params.shapes());
-    let mut order: Vec<usize> = (0..train.len()).collect();
-    let mut epoch_losses = Vec::new();
-    let mut val_ap = Vec::new();
-    let mut best_ap = f64::NEG_INFINITY;
-    let mut best_params: Option<PicParams> = None;
-
-    let mut runner = EpochRunner::new(model);
-    for _ in 0..cfg.epochs {
-        order.shuffle(&mut rng);
-        let outcome = runner
-            .run_flow_epoch(model, train, &order, cfg.batch, cfg.threads, &mut opt, None, None)
-            .unwrap_or_else(|e| panic!("{e}"));
-        epoch_losses.push(outcome.mean_loss);
-        if !valid.is_empty() {
-            let ap = urb_average_precision(model, valid);
-            val_ap.push(ap);
-            if ap > best_ap {
-                best_ap = ap;
-                best_params = Some(model.params.clone());
-            }
-        }
-    }
-    if let Some(p) = best_params {
-        model.params = p;
-    }
-    TrainReport { epoch_losses, val_ap, train_seconds: started.elapsed().as_secs_f64() }
 }
 
 /// Average precision of the flow head over InterFlow edges pooled across
@@ -890,12 +958,15 @@ mod tests {
             &train_refs,
             &valid_refs,
             TrainConfig { epochs: 8, lr: 1e-2, batch: 4, seed: 1, ..Default::default() },
-        );
+            None,
+            &mut (),
+        )
+        .unwrap();
         let after = urb_average_precision(&model, &valid_refs);
         assert!(
             after > before.max(0.6),
             "model failed to learn: AP {before} -> {after}, losses {:?}",
-            report.epoch_losses
+            report.state.epoch_losses
         );
     }
 
@@ -978,7 +1049,7 @@ mod tests {
             let mut runner = EpochRunner::new(&model);
             let order: Vec<usize> = (0..refs.len()).collect();
             let err = runner
-                .run_coverage_epoch(
+                .run_epoch(
                     &mut model,
                     &refs,
                     &order,
@@ -986,7 +1057,7 @@ mod tests {
                     threads,
                     &mut opt,
                     Some(EpochFault::WorkerPanic),
-                    None,
+                    false,
                 )
                 .unwrap_err();
             match err {
@@ -1004,7 +1075,7 @@ mod tests {
     }
 
     #[test]
-    fn observer_abort_keeps_model_and_buffers_clean() {
+    fn guard_rejects_poisoned_step_and_runner_stays_reusable() {
         let data = dataset(0..8);
         let refs: Vec<LabeledGraph> = data.iter().map(|(g, y)| (g, y.as_slice())).collect();
         let mut model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
@@ -1012,67 +1083,30 @@ mod tests {
         let mut opt = Adam::new(AdamConfig::default(), &model.params.shapes());
         let mut runner = EpochRunner::new(&model);
         let order: Vec<usize> = (0..refs.len()).collect();
-        let mut seen = Vec::new();
-        let mut obs = |info: &StepInfo| {
-            seen.push(info.grad_norm);
-            if info.step == 1 {
-                Err("synthetic anomaly".into())
-            } else {
-                Ok(())
-            }
-        };
         let err = runner
-            .run_coverage_epoch(&mut model, &refs, &order, 4, 1, &mut opt, None, Some(&mut obs))
+            .run_epoch(&mut model, &refs, &order, 4, 1, &mut opt, Some(EpochFault::NanGrads), true)
             .unwrap_err();
-        assert_eq!(err, EpochError::Aborted { step: 1, reason: "synthetic anomaly".into() });
-        // Step 0 applied, step 1 did not; grad norms were observed finite.
+        assert_eq!(err, EpochError::NonFiniteGradient { step: 0 });
+        assert_eq!(err.to_string(), "non-finite gradient norm at step 0");
+        assert_eq!(model.params, frozen, "the poisoned step never reached the optimizer");
+        // The runner stays usable: a clean guarded epoch succeeds (a dirty
+        // gradient buffer from the rejected step would poison it).
+        let outcome =
+            runner.run_epoch(&mut model, &refs, &order, 4, 1, &mut opt, None, true).unwrap();
+        assert_eq!((outcome.graphs, outcome.steps), (8, 2));
         assert_ne!(model.params, frozen);
-        assert_eq!(seen.len(), 2);
-        assert!(seen.iter().all(|n| n.is_finite() && *n > 0.0));
-        // The runner stays usable: a fresh epoch with no observer succeeds
-        // (a dirty gradient buffer from the aborted step would corrupt it).
-        let outcome = runner
-            .run_coverage_epoch(&mut model, &refs, &order, 4, 1, &mut opt, None, None)
-            .unwrap();
-        assert_eq!(outcome.graphs, 8);
-        assert_eq!(outcome.steps, 2);
+        assert!(!model.params.has_non_finite());
     }
 
     #[test]
-    fn injected_faults_are_visible_to_the_observer() {
-        let data = dataset(0..4);
-        let refs: Vec<LabeledGraph> = data.iter().map(|(g, y)| (g, y.as_slice())).collect();
-        let order: Vec<usize> = (0..refs.len()).collect();
-        // Baseline first-step gradient norm without faults.
-        let norm_at_step0 = |fault: Option<EpochFault>| {
-            let mut model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-            let mut opt = Adam::new(AdamConfig::default(), &model.params.shapes());
-            let mut runner = EpochRunner::new(&model);
-            let mut first = None;
-            let mut obs = |info: &StepInfo| {
-                if info.step == 0 {
-                    first = Some(info.grad_norm);
-                }
-                Ok(())
-            };
-            runner
-                .run_coverage_epoch(
-                    &mut model,
-                    &refs,
-                    &order,
-                    4,
-                    1,
-                    &mut opt,
-                    fault,
-                    Some(&mut obs),
-                )
-                .unwrap();
-            first.unwrap()
-        };
-        let clean = norm_at_step0(None);
-        let spiked = norm_at_step0(Some(EpochFault::SpikeGrads(64.0)));
-        assert!(spiked > clean * 32.0, "spike not visible: {clean} vs {spiked}");
-        assert!(norm_at_step0(Some(EpochFault::NanGrads)).is_nan());
+    fn salted_states_differ_per_attempt() {
+        let base = [1u64, 2, 3, 4];
+        let a1 = salt_state(base, 3, 1);
+        let a2 = salt_state(base, 3, 2);
+        let b1 = salt_state(base, 4, 1);
+        assert_ne!(a1, base);
+        assert_ne!(a1, a2);
+        assert_ne!(a1, b1);
     }
 
     #[test]
@@ -1095,10 +1129,10 @@ mod tests {
         let data = dataset(0..8);
         let refs: Vec<LabeledGraph> = data.iter().map(|(g, y)| (g, y.as_slice())).collect();
         let mut model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-        let report =
-            train(&mut model, &refs, &refs, TrainConfig { epochs: 3, ..Default::default() });
-        assert_eq!(report.epoch_losses.len(), 3);
-        assert_eq!(report.val_ap.len(), 3);
+        let cfg = TrainConfig { epochs: 3, ..Default::default() };
+        let report = train(&mut model, &refs, &refs, cfg, None, &mut ()).unwrap();
+        assert_eq!(report.state.epoch_losses.len(), 3);
+        assert_eq!(report.state.val_ap.len(), 3);
         assert!(report.train_seconds >= 0.0);
     }
 }

@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_graph::{CtGraph, Edge, EdgeKind, SchedMark, VertKind, Vertex};
 use snowcat_kernel::{BlockId, ThreadId};
-use snowcat_nn::{train, train_with_flows, Checkpoint, PicConfig, PicModel, TrainConfig};
+use snowcat_nn::{train, Checkpoint, PicConfig, PicModel, TrainConfig};
 
 fn synthetic_example(seed: u64, n: usize) -> (CtGraph, Vec<bool>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -56,8 +56,8 @@ fn run(threads: usize, batch: usize) -> (Vec<f32>, Vec<f64>, Checkpoint) {
     let (train_set, valid_set) = examples.split_at(8);
     let mut model = PicModel::new(PicConfig { hidden: 12, layers: 2, ..Default::default() });
     let cfg = TrainConfig { epochs: 3, lr: 5e-3, batch, seed: 9, threads };
-    let report = train(&mut model, train_set, valid_set, cfg);
-    (report.epoch_losses, report.val_ap, Checkpoint::new(&model, 0.5, "det"))
+    let report = train(&mut model, train_set, valid_set, cfg, None, &mut ()).unwrap();
+    (report.state.epoch_losses, report.state.val_ap, Checkpoint::new(&model, 0.5, "det"))
 }
 
 #[test]
@@ -110,8 +110,8 @@ fn flow_training_is_bit_identical_across_thread_counts() {
         let valid: Vec<(&CtGraph, &[bool])> = rest.iter().map(|&(g, l, _)| (g, l)).collect();
         let mut model = PicModel::new(PicConfig { hidden: 12, layers: 2, ..Default::default() });
         let cfg = TrainConfig { epochs: 2, lr: 5e-3, batch: 3, seed: 11, threads };
-        let report = train_with_flows(&mut model, train_set, &valid, cfg);
-        (report.epoch_losses, model.params)
+        let report = train(&mut model, train_set, &valid, cfg, None, &mut ()).unwrap();
+        (report.state.epoch_losses, model.params)
     };
     let (losses1, params1) = run_flow(1);
     let (losses4, params4) = run_flow(4);

@@ -7,7 +7,7 @@
 //! have accumulated it builds a labeled dataset from them (executing the
 //! schedules exactly as offline training does), fine-tunes a copy of the
 //! currently served weights with [`snowcat_harness::robust_train`] — the
-//! same anomaly-guarded trainer the offline pipeline uses — and offers the
+//! same anomaly-guarded trainer `snowcat train` uses — and offers the
 //! candidate checkpoint to [`InferenceServer::try_swap`]. The swap gate,
 //! not the refresher, decides whether the candidate ships: poisoned
 //! weights are rejected outright and AP regressions are rolled back, so a
@@ -172,7 +172,7 @@ fn refresh_once(
     if let Some(events) = server.events() {
         events.serve(ServeEvent::RefreshStarted { ordinal, examples: train_set.len() as u64 });
     }
-    // An anomalous fine-tune (spike retries exhausted, divergence breaker)
+    // An anomalous fine-tune (NaN/Inf retries exhausted, divergence breaker)
     // aborts this round; the incumbent keeps serving untouched.
     snowcat_harness::robust_train(&mut model, &train_set, &valid, &tcfg, false).ok()?;
 

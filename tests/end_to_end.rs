@@ -100,9 +100,9 @@ fn dataset_roundtrip_preserves_training_behaviour() {
     let cfg_t = TrainConfig { epochs: 1, ..TrainConfig::default() };
     let mut m1 = mk();
     let mut m2 = mk();
-    let r1 = train(&mut m1, &as_labeled(&out.train_set), &[], cfg_t);
-    let r2 = train(&mut m2, &as_labeled(&reloaded), &[], cfg_t);
-    assert_eq!(r1.epoch_losses, r2.epoch_losses);
+    let r1 = train(&mut m1, &as_labeled(&out.train_set), &[], cfg_t, None, &mut ()).unwrap();
+    let r2 = train(&mut m2, &as_labeled(&reloaded), &[], cfg_t, None, &mut ()).unwrap();
+    assert_eq!(r1.state.epoch_losses, r2.state.epoch_losses);
     assert_eq!(m1.params, m2.params);
 }
 

@@ -11,8 +11,9 @@ fn flow_head_learns_realized_flows() {
     let kernel = KernelVersion::V5_12.spec(0xF10E).build();
     let cfg = KernelCfg::build(&kernel);
     // Flow prediction needs a little more data/capacity than the other
-    // integration tests (the signal is schedule-dependent); this is still a
-    // ~minute in release mode.
+    // integration tests (the signal is schedule-dependent); this still runs
+    // in seconds, because the workspace builds `snowcat-nn` optimized even
+    // in the dev profile.
     let pcfg = PipelineConfig::default()
         .with_fuzz_iterations(60)
         .with_n_ctis(160)
