@@ -1,17 +1,26 @@
 //! Microbenchmark: the micro-batching inference server vs direct inference.
 //!
-//! The serving layer promises "batching for free": when requests arrive
-//! fast enough to fill `max_batch`-sized flushes, the served path must
-//! deliver at least 0.9x the throughput of calling `Pic::predict_batch`
-//! directly, with tail latency under the configured SLO — the queue, the
-//! condvar hand-off, and the result split are all the server is allowed to
-//! spend. This bench measures both paths over the same candidate graphs,
-//! times the atomic hot-swap (ungated, and gated through an AP validation
-//! pass), and writes `results/BENCH_serving.json`.
+//! The serving layer promises "batching for free" in two regimes, each
+//! held to at least 0.9x the throughput of predicting the same graphs
+//! directly through a `Pic`:
+//!
+//! * **saturated** — concurrent clients send half-batch requests fast
+//!   enough to fill every `max_batch`-sized flush, with tail latency under
+//!   the configured SLO;
+//! * **one caller** — one handle sends 1-graph requests at the
+//!   `campaign --serve` settings, the regime a served campaign runs in.
+//!   Every request completes its own batch and flushes on the caller's
+//!   thread, so the queue, the admission copy and the result split are all
+//!   the server is allowed to spend.
+//!
+//! The bench also times the atomic hot-swap (ungated, and gated through an
+//! AP validation pass), and writes `results/BENCH_serving.json`.
 //!
 //! Both paths memoize predictions per deployed model, so every timed
-//! repetition starts from a fresh `Pic` and a fresh server: the best-of
-//! timings measure inference, not memo hits.
+//! repetition starts from a fresh `Pic` and a fresh server: the saturated
+//! best-of timings measure inference, not memo hits. The one-caller phase
+//! replays its sequence once more, so it includes memo hits in the share a
+//! campaign's repeats would.
 //!
 //! Pass `--quick` for a CI-sized smoke run.
 
@@ -49,6 +58,9 @@ struct Report {
     slo_p99_us: u64,
     swap_us: f64,
     gated_swap_us: f64,
+    one_caller_graphs_per_s: f64,
+    one_caller_over_direct: f64,
+    one_caller_p50_us: u64,
 }
 
 fn main() {
@@ -144,6 +156,37 @@ fn main() {
     }
     let sreport = sreport.expect("at least one served repetition");
 
+    // One caller, the regime `campaign --serve` runs in: the CLI's serving
+    // settings, one handle, 1-graph requests over the pool and then over it
+    // again, so the replay answers from the memo as a campaign's repeats
+    // do. A fresh `Pic` predicts the same sequence directly.
+    let one_cfg = ServeConfig { max_batch: 16, max_wait_us: 200, ..ServeConfig::default() };
+    let sequence: Vec<&CtGraph> = requests.iter().chain(&requests).flatten().collect();
+    let (mut one_direct_s, mut one_served_s) = (f64::INFINITY, f64::INFINITY);
+    let mut one_report = None;
+    for _ in 0..=reps {
+        let fresh = Pic::new(&ck, &k, &cfg);
+        let t0 = Instant::now();
+        for g in &sequence {
+            black_box(fresh.predict_one(g));
+        }
+        one_direct_s = one_direct_s.min(t0.elapsed().as_secs_f64());
+
+        let mut server = InferenceServer::start(&ck, one_cfg.clone(), None);
+        let h = server.handle();
+        let t0 = Instant::now();
+        for g in &sequence {
+            black_box(h.predict_one(g));
+        }
+        let elapsed = t0.elapsed().as_secs_f64();
+        let report = server.shutdown();
+        if elapsed < one_served_s {
+            one_served_s = elapsed;
+            one_report = Some(report);
+        }
+    }
+    let one_report = one_report.expect("at least one one-caller repetition");
+
     // Swap latency: ungated (pure arc-swap install), then gated through an
     // AP validation pass over one request's graphs. Swapping the incumbent
     // checkpoint back in keeps validation AP identical, so the gated swap
@@ -172,8 +215,10 @@ fn main() {
     let gated_swap_us = t0.elapsed().as_secs_f64() * 1e6 / swap_reps as f64;
 
     // After its first iteration every graph is a memo hit, so this row
-    // times one caller's round trip through the queue (hand-off, deadline
-    // wait, result split), not inference.
+    // times one caller's trip through the queue, not inference. The
+    // handle is the server's only one, so each request completes its batch
+    // and flushes on the caller's thread: admission copy, drain and result
+    // split.
     c.bench_function("served_half_batch_request_warm", |b| {
         let h = server.handle();
         b.iter(|| black_box(h.predict_batch(&requests[0])))
@@ -196,6 +241,9 @@ fn main() {
         slo_p99_us,
         swap_us,
         gated_swap_us,
+        one_caller_graphs_per_s: sequence.len() as f64 / one_served_s,
+        one_caller_over_direct: one_direct_s / one_served_s,
+        one_caller_p50_us: one_report.p50_us,
     };
     println!(
         "direct {:.0} graphs/s, served {:.0} graphs/s ({:.2}x) at {:.0}% fill, {} clients",
@@ -209,11 +257,18 @@ fn main() {
         "latency p50 {}us p99 {}us (SLO {}us); swap {:.0}us ungated, {:.0}us AP-gated",
         report.p50_us, report.p99_us, report.slo_p99_us, report.swap_us, report.gated_swap_us,
     );
-    if report.served_over_direct < 0.9 {
-        eprintln!(
-            "warning: served throughput {:.2}x direct — below the 0.9x acceptance bound",
-            report.served_over_direct
-        );
+    println!(
+        "one caller: served {:.0} graphs/s ({:.2}x direct), p50 {}us, 1-graph requests",
+        report.one_caller_graphs_per_s, report.one_caller_over_direct, report.one_caller_p50_us,
+    );
+    for (regime, ratio) in
+        [("served", report.served_over_direct), ("one-caller", report.one_caller_over_direct)]
+    {
+        if ratio < 0.9 {
+            eprintln!(
+                "warning: {regime} throughput {ratio:.2}x direct — below the 0.9x acceptance bound"
+            );
+        }
     }
     if report.p99_us > report.slo_p99_us {
         eprintln!(

@@ -129,45 +129,61 @@ pub fn save_json<T: serde::Serialize>(name: &str, value: &T) {
 /// Train (or load from `results/cache/`) the standard PIC model for a
 /// kernel, returning the deterministic corpus plus the checkpoint. Multiple
 /// experiment binaries share one training run this way; delete the cache
-/// directory to force retraining.
+/// directory to force retraining. The data is always collected, because
+/// the cache key (`pic_cache_key`) fingerprints it; a miss trains that
+/// data exactly as [`snowcat_core::train_pic`] would.
 pub fn cached_pic(
     kernel: &snowcat_kernel::Kernel,
     cfg: &snowcat_cfg::KernelCfg,
     pcfg: &PipelineConfig,
     name: &str,
 ) -> (Vec<snowcat_corpus::StiProfile>, snowcat_nn::Checkpoint) {
-    // The corpus is cheap and fully deterministic — rebuild it.
-    let mut fz = snowcat_corpus::StiFuzzer::new(kernel, pcfg.seed);
-    fz.seed_each_syscall();
-    fz.fuzz(pcfg.fuzz_iterations);
-    fz.push_random(pcfg.fuzz_iterations / 2);
-    let corpus = fz.into_corpus();
-
-    let key = format!(
-        "{name}-{}-b{}-s{:x}-c{}-h{}-l{}-e{}",
-        kernel.version.replace('.', "_"),
-        kernel.num_blocks(),
+    let data = snowcat_core::collect_data(kernel, cfg, pcfg);
+    let key = pic_cache_key(
+        name,
+        &kernel.version,
+        snowcat_nn::dataset_fingerprint(&snowcat_core::as_labeled(&data.train_set)),
+        &pcfg.model,
+        &pcfg.train,
         pcfg.seed,
-        pcfg.n_ctis,
-        pcfg.model.hidden,
-        pcfg.model.layers,
-        pcfg.train.epochs,
     );
     let path = std::path::Path::new("results/cache").join(format!("{key}.json"));
     if let Ok(text) = std::fs::read_to_string(&path) {
         if let Ok(ck) = snowcat_nn::Checkpoint::from_json(&text) {
             println!("(loaded cached checkpoint {})", path.display());
-            return (corpus, ck);
+            return (data.corpus, ck);
         }
     }
-    let out = snowcat_core::train_pic(kernel, cfg, pcfg, name);
+    let (checkpoint, _) =
+        snowcat_core::train_on(kernel, &data, pcfg.model, pcfg.train, pcfg.seed, name);
     if std::fs::create_dir_all("results/cache").is_ok() {
-        if let Ok(json) = out.checkpoint.to_json() {
+        if let Ok(json) = checkpoint.to_json() {
             let _ = std::fs::write(&path, json);
             println!("(cached checkpoint at {})", path.display());
         }
     }
-    (corpus, out.checkpoint)
+    (data.corpus, checkpoint)
+}
+
+/// The cache key of a trained model: `name`, the kernel version, and an
+/// FNV-1a hash of everything training reads — the training split's
+/// [`snowcat_nn::dataset_fingerprint`], the model and training
+/// configurations, and the pipeline seed (which also seeds encoder
+/// pre-training). A change to kernel generation, graph features, labels or
+/// any hyperparameter therefore misses instead of loading a stale model.
+fn pic_cache_key(
+    name: &str,
+    kernel_version: &str,
+    train_fingerprint: u64,
+    model: &PicConfig,
+    train: &TrainConfig,
+    seed: u64,
+) -> String {
+    let inputs = format!("{train_fingerprint:x}|{model:?}|{train:?}|{seed:x}");
+    let hash = inputs
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    format!("{name}-{}-{hash:016x}", kernel_version.replace('.', "_"))
 }
 
 /// Percent formatting helper.
@@ -298,6 +314,28 @@ mod tests {
     #[test]
     fn pct_formats() {
         assert_eq!(pct(0.5513), "55.13%");
+    }
+
+    #[test]
+    fn pic_cache_key_follows_every_training_input() {
+        let p = std_pipeline(Scale::Smoke);
+        let key = |version: &str, train: TrainConfig| {
+            pic_cache_key("PIC-5", version, 0xF00D, &p.model, &train, p.seed)
+        };
+        let base = key("5.12", p.train);
+        assert_eq!(base, key("5.12", p.train), "equal inputs, equal key");
+        assert!(base.starts_with("PIC-5-5_12-"), "{base}");
+        assert_ne!(base, key("6.1", p.train), "kernel version");
+        assert_ne!(
+            base,
+            key("5.12", TrainConfig { epochs: p.train.epochs + 1, ..p.train }),
+            "epochs"
+        );
+        assert_ne!(
+            base,
+            pic_cache_key("PIC-5", "5.12", 0xF00E, &p.model, &p.train, p.seed),
+            "training data"
+        );
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! owned by one campaign. This crate turns it into a **long-lived
 //! in-process inference server** that many concurrent clients share:
 //!
-//! * [`InferenceServer`] owns the model behind an MPSC request queue
-//!   drained by a batcher thread with **adaptive micro-batching** — a
-//!   flush goes out when it fills ([`ServeConfig::max_batch`]) or when the
-//!   oldest request ages out ([`ServeConfig::max_wait_us`]), whichever
-//!   comes first. The queue is bounded; overload either blocks callers or
-//!   sheds to inline prediction ([`OverloadPolicy`]).
+//! * [`InferenceServer`] owns the model behind an MPSC request queue with
+//!   **adaptive micro-batching** — a flush goes out when it fills
+//!   ([`ServeConfig::max_batch`]), when every live handle has a request
+//!   queued (no other request can arrive), or when the oldest request ages
+//!   out ([`ServeConfig::max_wait_us`]), whichever comes first. The caller
+//!   that completes a batch flushes it on its own thread; a batcher thread
+//!   flushes the rest. The queue is bounded; overload either blocks
+//!   callers or sheds to inline prediction ([`OverloadPolicy`]).
 //! * [`ServerHandle`] is the cloneable client. It implements
 //!   [`snowcat_core::CoveragePredictor`], so campaigns, worker pools and
 //!   benches plug in unchanged — and served results are **bit-identical**

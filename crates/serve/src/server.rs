@@ -1,31 +1,44 @@
-//! The in-process inference server: an MPSC request queue drained by a
-//! batcher thread with adaptive micro-batching.
+//! The in-process inference server: an MPSC request queue with adaptive
+//! micro-batching, flushed by whichever thread completes a batch.
 //!
 //! # Batching policy
 //!
-//! The batcher flushes when either trigger fires, whichever comes first:
+//! A batch is ready when the queue holds a request and any trigger fires:
 //!
-//! * **fill** — queued graphs reach [`ServeConfig::max_batch`], or
+//! * **fill** — queued graphs reach [`ServeConfig::max_batch`];
+//! * **all in** — queued requests plus callers parked by backpressure reach
+//!   the number of live [`ServerHandle`]s, so no other request can arrive;
 //! * **age** — the oldest queued request has waited
-//!   [`ServeConfig::max_wait_us`].
+//!   [`ServeConfig::max_wait_us`];
+//! * **stop** — the server is shutting down.
 //!
-//! Under load the queue stays full and every flush goes out at capacity
-//! (maximum throughput); when traffic is sparse a lone request waits at
-//! most `max_wait_us` before being flushed alone (bounded latency). Whole
-//! requests are never split across flushes, so a caller's
-//! `predict_batch` result is always produced by a single model epoch — a
-//! hot swap can never hand one caller a torn mix of old and new weights.
+//! The caller whose admission makes a batch ready drains and flushes it on
+//! its own thread, so a lone caller neither waits for the deadline nor
+//! crosses threads. The batcher thread flushes what becomes ready without
+//! an admission: aged batches, batches completed by a dropped handle, and
+//! the shutdown drain. Flushes may overlap: one per caller that completes
+//! a batch, plus the batcher's.
+//!
+//! Under load every flush goes out at capacity; a lone caller's requests
+//! flush one by one, at once. Live handles are counted, not callers inside
+//! `predict_batch`, because a handle between requests can still send: a
+//! live handle that never sends holds the other callers' requests for up
+//! to `max_wait_us`. Whole requests are never split across flushes, so a
+//! caller's `predict_batch` result is always produced by a single model
+//! epoch — a hot swap can never hand one caller a torn mix of old and new
+//! weights.
 //!
 //! # Backpressure
 //!
 //! The queue is bounded at [`ServeConfig::queue_cap`] graphs. When it is
-//! full, [`OverloadPolicy::Block`] parks the caller until the batcher
-//! drains (lossless, campaign default), while [`OverloadPolicy::Shed`]
-//! predicts inline on the caller's thread against the current model
-//! snapshot — the request still succeeds (the [`CoveragePredictor`]
-//! contract has no error channel) but skips the queue and is counted in
-//! [`crate::ServingReport::shed`]. A request larger than the whole queue
-//! is always admitted alone rather than deadlocking.
+//! full, [`OverloadPolicy::Block`] parks the caller until a drain frees
+//! capacity (lossless, campaign default); a caller whose parking would
+//! complete a batch flushes that batch itself instead, then retries.
+//! [`OverloadPolicy::Shed`] predicts inline on the caller's thread against
+//! the current model snapshot — the request still succeeds (the
+//! [`CoveragePredictor`] contract has no error channel) but skips the queue
+//! and is counted in [`crate::ServingReport::shed`]. A request larger than
+//! the whole queue is always admitted alone rather than deadlocking.
 //!
 //! The queue uses `std::sync::{Mutex, Condvar}` rather than the vendored
 //! `parking_lot` (which carries no condvar), matching the event sink's
@@ -39,8 +52,11 @@ use snowcat_graph::CtGraph;
 use snowcat_nn::Checkpoint;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// No code panics while holding a serving lock, so poisoning means a bug.
+const POISONED: &str = "a serving thread panicked while holding a lock";
 
 /// What to do with a request that does not fit the bounded queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,13 +73,17 @@ pub enum OverloadPolicy {
 pub struct ServeConfig {
     /// Flush as soon as this many graphs are queued.
     pub max_batch: usize,
-    /// Flush the oldest request after it has waited this long, µs.
+    /// Flush the oldest request after it has waited this long, µs. A batch
+    /// every live handle has joined flushes at once, so this bounds only
+    /// the wait on a live handle that has not sent; with `u64::MAX` that
+    /// wait has no limit.
     pub max_wait_us: u64,
     /// Bounded-queue capacity in graphs.
     pub queue_cap: usize,
     /// Policy when the queue is full.
     pub overload: OverloadPolicy,
-    /// Inference worker threads per flush (1 = serial in the batcher).
+    /// Inference worker threads per flush (1 = serial on the flushing
+    /// thread).
     pub workers: usize,
     /// Advisory p99 latency objective, µs (reported, not enforced).
     pub slo_p99_us: u64,
@@ -101,6 +121,12 @@ struct Slot {
     ready: Condvar,
 }
 
+impl Slot {
+    fn filled(&self) -> bool {
+        self.result.lock().expect(POISONED).is_some()
+    }
+}
+
 struct Request {
     graphs: Vec<CtGraph>,
     slot: Arc<Slot>,
@@ -111,7 +137,50 @@ struct Request {
 struct Queue {
     pending: VecDeque<Request>,
     pending_graphs: usize,
+    /// Live [`ServerHandle`]s: the set that can still send a request.
+    handles: usize,
+    /// Callers parked by `Block` backpressure, each holding a request.
+    parked: usize,
     stopped: bool,
+}
+
+impl Queue {
+    /// When the oldest request ages out; `None` when the queue is empty or
+    /// the deadline is unrepresentable (`max_wait_us` near `u64::MAX`).
+    fn deadline(&self, cfg: &ServeConfig) -> Option<Instant> {
+        self.pending.front()?.enqueued.checked_add(Duration::from_micros(cfg.max_wait_us))
+    }
+
+    /// Whether a batch should flush now: the one test every flushing site
+    /// applies (see the module doc's batching policy).
+    fn ready(&self, cfg: &ServeConfig) -> bool {
+        !self.pending.is_empty()
+            && (self.pending_graphs >= cfg.max_batch
+                || self.pending.len() + self.parked >= self.handles
+                || self.stopped
+                || self.deadline(cfg).is_some_and(|d| Instant::now() >= d))
+    }
+
+    /// Take whole requests from the front, up to `max_batch` graphs. An
+    /// oversized request (> `max_batch` graphs) drains alone.
+    fn drain(&mut self, max_batch: usize) -> Vec<Request> {
+        let mut batch = Vec::new();
+        let mut graphs = 0usize;
+        while let Some(front) = self.pending.front() {
+            let n = front.graphs.len();
+            if !batch.is_empty() && graphs + n > max_batch {
+                break;
+            }
+            let req = self.pending.pop_front().expect("front exists");
+            self.pending_graphs -= n;
+            graphs += n;
+            batch.push(req);
+            if graphs >= max_batch {
+                break;
+            }
+        }
+        batch
+    }
 }
 
 struct Shared {
@@ -153,9 +222,23 @@ impl Shared {
         out
     }
 
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.q.lock().expect(POISONED)
+    }
+
+    /// Drain the ready batch at the front of `q`, release the lock and
+    /// flush the batch on the calling thread.
+    fn flush_front(&self, mut q: MutexGuard<'_, Queue>) {
+        let batch = q.drain(self.cfg.max_batch);
+        drop(q);
+        self.not_full.notify_all();
+        self.flush(batch);
+    }
+
     /// Run one coalesced batch through the current model epoch and deliver
     /// per-request slices back to the parked callers.
     fn flush(&self, mut batch: Vec<Request>) {
+        debug_assert!(!batch.is_empty(), "flushed an empty batch");
         let epoch = self.model.current();
         // Move the graphs out of the requests rather than cloning them —
         // the batch is consumed here, and per-request lengths are all the
@@ -236,54 +319,31 @@ impl Shared {
     }
 }
 
-/// The batcher thread body: wait for work, age the oldest request up to
-/// the adaptive deadline, drain whole requests up to `max_batch` graphs,
-/// flush outside the lock. Exits only once stopped *and* drained, so
-/// shutdown never strands a parked caller.
+/// The batcher thread body: flush every batch that becomes ready without
+/// an admission (aged out, completed by a dropped handle, or stopping),
+/// otherwise sleep until the front request's deadline or a wake. The
+/// deadline is re-read after every wake, since a caller may have drained
+/// the queue meanwhile. Exits only once stopped *and* drained, so shutdown
+/// never strands a parked caller.
 fn batcher_loop(shared: Arc<Shared>) {
+    let cfg = &shared.cfg;
+    let mut q = shared.queue();
     loop {
-        let batch: Vec<Request> = {
-            let mut q = shared.q.lock().unwrap();
-            // Phase 1: wait until there is at least one request.
-            while q.pending.is_empty() {
-                if q.stopped {
-                    return;
-                }
-                q = shared.not_empty.wait(q).unwrap();
+        if q.ready(cfg) {
+            shared.flush_front(q);
+            q = shared.queue();
+            continue;
+        }
+        if q.pending.is_empty() && q.stopped {
+            return;
+        }
+        q = match q.deadline(cfg) {
+            Some(d) => {
+                let wait = d.saturating_duration_since(Instant::now());
+                shared.not_empty.wait_timeout(q, wait).expect(POISONED).0
             }
-            // Phase 2: adaptive micro-batching — hold the flush until the
-            // batch fills or the oldest request's deadline passes.
-            let deadline = q.pending.front().expect("non-empty").enqueued
-                + Duration::from_micros(shared.cfg.max_wait_us);
-            while q.pending_graphs < shared.cfg.max_batch && !q.stopped {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _timeout) = shared.not_empty.wait_timeout(q, deadline - now).unwrap();
-                q = guard;
-            }
-            // Phase 3: drain whole requests up to max_batch graphs. An
-            // oversized request (> max_batch graphs) flushes alone.
-            let mut batch = Vec::new();
-            let mut graphs = 0usize;
-            while let Some(front) = q.pending.front() {
-                let n = front.graphs.len();
-                if !batch.is_empty() && graphs + n > shared.cfg.max_batch {
-                    break;
-                }
-                let req = q.pending.pop_front().expect("front exists");
-                q.pending_graphs -= n;
-                graphs += n;
-                batch.push(req);
-                if graphs >= shared.cfg.max_batch {
-                    break;
-                }
-            }
-            batch
+            None => shared.not_empty.wait(q).expect(POISONED),
         };
-        shared.not_full.notify_all();
-        shared.flush(batch);
     }
 }
 
@@ -292,8 +352,9 @@ fn batcher_loop(shared: Arc<Shared>) {
 /// Implements [`CoveragePredictor`], so it plugs into everything that
 /// takes one — [`snowcat_core::PredictorService`], campaign explorers,
 /// worker pools — while the server coalesces requests from any number of
-/// concurrent handles into shared flushes.
-#[derive(Clone)]
+/// concurrent handles into shared flushes. The server counts live handles
+/// (see the module doc's batching policy): drop a handle that will not send
+/// again, or it holds other callers' requests for up to `max_wait_us`.
 pub struct ServerHandle {
     shared: Arc<Shared>,
 }
@@ -305,9 +366,29 @@ impl std::fmt::Debug for ServerHandle {
 }
 
 impl ServerHandle {
+    fn new(shared: &Arc<Shared>) -> Self {
+        shared.queue().handles += 1;
+        Self { shared: shared.clone() }
+    }
+
     /// Point-in-time serving report (same data as the owning server's).
     pub fn report(&self) -> ServingReport {
         self.shared.report()
+    }
+}
+
+impl Clone for ServerHandle {
+    fn clone(&self) -> Self {
+        Self::new(&self.shared)
+    }
+}
+
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        // Never panic in drop: a poisoned queue still counts handles.
+        self.shared.q.lock().unwrap_or_else(PoisonError::into_inner).handles -= 1;
+        // Requests waiting on this handle may now form a ready batch.
+        self.shared.not_empty.notify_one();
     }
 }
 
@@ -323,37 +404,57 @@ impl CoveragePredictor for ServerHandle {
         // expensive part of admission, and doing it under the mutex would
         // serialize every caller (and the batcher's drain) behind it.
         let owned = graphs.to_vec();
-        {
-            let mut q = self.shared.q.lock().unwrap();
-            loop {
-                if q.stopped {
+        let shared = &*self.shared;
+        let mut q = shared.queue();
+        loop {
+            if q.stopped {
+                drop(q);
+                return shared.predict_inline(graphs);
+            }
+            // Admit when the request fits, or unconditionally when the
+            // queue is empty (an oversized request must not deadlock).
+            if q.pending_graphs + n <= shared.cfg.queue_cap || q.pending.is_empty() {
+                break;
+            }
+            match shared.cfg.overload {
+                OverloadPolicy::Block => {
+                    // A parked caller can send nothing else until a drain,
+                    // so it counts as queued; if that completes the batch,
+                    // flush it here instead of parking.
+                    q.parked += 1;
+                    if q.ready(&shared.cfg) {
+                        q.parked -= 1;
+                        shared.flush_front(q);
+                        q = shared.queue();
+                    } else {
+                        q = shared.not_full.wait(q).expect(POISONED);
+                        q.parked -= 1;
+                    }
+                }
+                OverloadPolicy::Shed => {
                     drop(q);
-                    return self.shared.predict_inline(graphs);
-                }
-                // Admit when the request fits, or unconditionally when the
-                // queue is empty (an oversized request must not deadlock).
-                if q.pending_graphs + n <= self.shared.cfg.queue_cap || q.pending.is_empty() {
-                    break;
-                }
-                match self.shared.cfg.overload {
-                    OverloadPolicy::Block => {
-                        q = self.shared.not_full.wait(q).unwrap();
-                    }
-                    OverloadPolicy::Shed => {
-                        drop(q);
-                        return self.shared.predict_inline(graphs);
-                    }
+                    return shared.predict_inline(graphs);
                 }
             }
-            q.pending.push_back(Request {
-                graphs: owned,
-                slot: slot.clone(),
-                enqueued: Instant::now(),
-            });
-            q.pending_graphs += n;
-            self.shared.queue_depth_max.fetch_max(q.pending_graphs as u64, Ordering::Relaxed);
         }
-        self.shared.not_empty.notify_one();
+        q.pending.push_back(Request {
+            graphs: owned,
+            slot: slot.clone(),
+            enqueued: Instant::now(),
+        });
+        q.pending_graphs += n;
+        shared.queue_depth_max.fetch_max(q.pending_graphs as u64, Ordering::Relaxed);
+
+        // The caller that completes a batch flushes it on its own thread.
+        while !slot.filled() && q.ready(&shared.cfg) {
+            shared.flush_front(q);
+            q = shared.queue();
+        }
+        let queued = !q.pending.is_empty();
+        drop(q);
+        if queued {
+            shared.not_empty.notify_one();
+        }
 
         let mut result = slot.result.lock().unwrap();
         while result.is_none() {
@@ -444,7 +545,7 @@ impl InferenceServer {
     /// A new client handle. Handles stay valid after `shutdown` (they fall
     /// back to inline prediction).
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle { shared: self.shared.clone() }
+        ServerHandle::new(&self.shared)
     }
 
     /// The epoch currently being served.
@@ -506,11 +607,13 @@ impl InferenceServer {
 
     /// Stop the batcher after draining every queued request (no prediction
     /// is ever dropped), emit [`ServeEvent::Stopped`], and return the final
-    /// report. Idempotent.
+    /// report. A flush already running on a caller's thread finishes there,
+    /// so the report counts every request that returned before `shutdown`
+    /// was called. Idempotent.
     pub fn shutdown(&mut self) -> ServingReport {
         let was_running = self.batcher.is_some();
         {
-            let mut q = self.shared.q.lock().unwrap();
+            let mut q = self.shared.queue();
             q.stopped = true;
         }
         self.shared.not_empty.notify_all();

@@ -81,7 +81,7 @@ pub struct ServingReport {
     pub requests: u64,
     /// Graphs predicted.
     pub graphs: u64,
-    /// Batches flushed by the batcher.
+    /// Batches flushed, by callers and the batcher together.
     pub flushes: u64,
     /// Requests served inline because the queue was full (Shed policy) or
     /// the server was stopping.

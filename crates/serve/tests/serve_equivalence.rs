@@ -95,11 +95,13 @@ proptest! {
         picks in proptest::collection::vec(0usize..64, 1..24),
         cuts in proptest::collection::vec(0usize..16, 0..8),
         max_batch in 1usize..12,
-        wait_idx in 0usize..3,
+        wait_idx in 0usize..4,
         workers in 1usize..4,
         shed in proptest::bool::ANY,
     ) {
-        let max_wait_us = [0u64, 50, 2_000][wait_idx];
+        // `u64::MAX` disables the age trigger: every flush then comes from
+        // the fill or the live-handle rule.
+        let max_wait_us = [0u64, 50, 2_000, u64::MAX][wait_idx];
         let fx = fixture();
         let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
         let pool = random_graphs(&pic, &fx.corpus, seed, n);
@@ -121,13 +123,18 @@ proptest! {
             None,
         );
         // Fire every request from its own thread so flushes genuinely
-        // coalesce across callers.
+        // coalesce across callers. Each handle sends once and is dropped,
+        // so the requests it was holding back can flush.
         let served: Vec<Vec<PredictedCoverage>> = crossbeam::thread::scope(|s| {
             let handles: Vec<_> = requests
                 .iter()
                 .map(|req| {
                     let h = server.handle();
-                    s.spawn(move |_| h.predict_batch(req))
+                    s.spawn(move |_| {
+                        let preds = h.predict_batch(req);
+                        drop(h);
+                        preds
+                    })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -145,6 +152,87 @@ proptest! {
         prop_assert_eq!(report.graphs, total);
         prop_assert_eq!(report.requests, requests.len() as u64);
     }
+}
+
+/// A Block-policy server whose age trigger never fires
+/// (`max_wait_us: u64::MAX`): only the fill and live-handle rules flush,
+/// so the tests below hang, rather than pass late, if the rule is broken.
+fn server_without_deadline(max_batch: usize, queue_cap: usize) -> InferenceServer {
+    InferenceServer::start(
+        &fixture().checkpoint,
+        ServeConfig { max_batch, queue_cap, max_wait_us: u64::MAX, ..ServeConfig::default() },
+        None,
+    )
+}
+
+#[test]
+fn lone_handle_flushes_without_waiting() {
+    let fx = fixture();
+    let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let graphs = random_graphs(&pic, &fx.corpus, 11, 3);
+    let mut server = server_without_deadline(64, 256);
+    let handle = server.handle();
+    for req in [&graphs[..1], &graphs[1..]] {
+        assert_bit_identical("lone handle", &pic.predict_batch(req), &handle.predict_batch(req));
+    }
+    let report = server.shutdown();
+    assert_eq!(report.flushes, 2, "each request flushed alone, at once");
+}
+
+#[test]
+fn every_live_handle_queued_flushes_once() {
+    let fx = fixture();
+    let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let graphs = random_graphs(&pic, &fx.corpus, 12, 2);
+    let mut server = server_without_deadline(64, 256);
+    let (a, b) = (server.handle(), server.handle());
+    std::thread::scope(|s| {
+        for (h, req) in [(a, &graphs[..1]), (b, &graphs[1..])] {
+            let direct = pic.predict_batch(req);
+            s.spawn(move || assert_bit_identical("all in", &direct, &h.predict_batch(req)));
+        }
+    });
+    let report = server.shutdown();
+    assert_eq!(report.flushes, 1, "the second request completes the batch");
+    assert_eq!(report.graphs, 2);
+}
+
+#[test]
+fn dropping_a_handle_releases_queued_requests() {
+    let fx = fixture();
+    let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let graphs = random_graphs(&pic, &fx.corpus, 13, 1);
+    let direct = pic.predict_batch(&graphs);
+    let mut server = server_without_deadline(64, 256);
+    let (a, b) = (server.handle(), server.handle());
+    std::thread::scope(|s| {
+        s.spawn(|| assert_bit_identical("released", &direct, &a.predict_batch(&graphs)));
+        drop(b);
+    });
+    let report = server.shutdown();
+    assert_eq!(report.flushes, 1);
+}
+
+#[test]
+fn parked_caller_counts_as_queued() {
+    let fx = fixture();
+    let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let graphs = random_graphs(&pic, &fx.corpus, 14, 6);
+    // Two 3-graph requests never fit a 4-graph queue together: the second
+    // caller parks, and must count as queued for the first to flush.
+    let mut server = server_without_deadline(4, 4);
+    let (a, b) = (server.handle(), server.handle());
+    std::thread::scope(|s| {
+        for (h, req) in [(a, &graphs[..3]), (b, &graphs[3..])] {
+            let direct = pic.predict_batch(req);
+            s.spawn(move || {
+                assert_bit_identical("parked", &direct, &h.predict_batch(req));
+                drop(h);
+            });
+        }
+    });
+    let report = server.shutdown();
+    assert_eq!(report.graphs, 6);
 }
 
 #[test]
