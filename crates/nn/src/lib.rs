@@ -24,8 +24,14 @@
 //!   workers,
 //! * [`binser`] — bit-exact little-endian binary serialization for model
 //!   and optimizer state (IEEE bit patterns, no decimal round-trip).
+//!
+//! The crate denies `unsafe_code` with one exception: the call of the AVX2
+//! copy of [`model::PicModel::forward_into`], made only after run-time CPU
+//! detection. Both copies compile from one body and give the same bits (see
+//! the "Vector width" section of [`tensor`]); `tests/unsafe_exception.rs`
+//! keeps that call the only `unsafe` in the crate.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod asmenc;

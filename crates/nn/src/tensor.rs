@@ -2,9 +2,8 @@
 //! friendly `f32` kernels, fused ops, and a scratch arena for allocation-free
 //! steady-state inference.
 //!
-//! Everything is row-major, safe Rust (no `unsafe`, no intrinsics, no
-//! nightly). The hot kernels are written so LLVM's autovectorizer emits SIMD
-//! on stable:
+//! Everything is row-major, safe Rust (no intrinsics, no nightly). The hot
+//! kernels are written so LLVM's autovectorizer emits SIMD on stable:
 //!
 //! * the `matmul` core walks each output row in fixed-width column panels
 //!   ([`PANEL_WIDE`] = 32, then [`PANEL`] = 8); each panel is copied into a
@@ -43,7 +42,21 @@
 //!
 //! Rust never contracts `a * b + c` into an FMA and LLVM never reassociates
 //! float adds without fast-math flags, so these orders are stable across
-//! optimization levels.
+//! optimization levels and target features.
+//!
+//! # Vector width
+//!
+//! The workspace builds for baseline x86-64 (SSE2, 4-wide `f32`). The one
+//! exception to "safe Rust only" in this crate is the inference forward
+//! pass: [`crate::model::PicModel::forward_into`] is compiled a second time
+//! inside a `#[target_feature(enable = "avx2")]` function and calls it,
+//! through the crate's single `unsafe` call, when the CPU reports AVX2 at
+//! run time. The kernels that pass reaches are `#[inline(always)]` so the
+//! AVX2 copy compiles them with 8-wide registers. That copy is bit-identical
+//! to the portable one by construction: every kernel keeps its per-element
+//! k-ascending order, wider registers only process more output columns at
+//! once, and without `fma` in the feature set no fused instruction can be
+//! emitted. A proptest in `model.rs` pins the two copies bit for bit.
 //!
 //! The `naive_*` functions are the scalar reference implementations: each
 //! output element is a textbook k-ascending dot product, written in
@@ -82,7 +95,7 @@ pub struct Mat {
 }
 
 /// `out[j] += a * b[j]` over a full row, panel-vectorized.
-#[inline]
+#[inline(always)]
 fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
     debug_assert_eq!(out.len(), b.len());
     for (o, &x) in out.iter_mut().zip(b) {
@@ -94,7 +107,7 @@ fn axpy1(out: &mut [f32], a: f32, b: &[f32]) {
 /// `out[j] += a[0]*b0[j]; out[j] += a[1]*b1[j]; …` — the adds for each `j`
 /// happen in index order `0..4`, preserving the k-ascending summation
 /// contract while quartering the output-row traffic.
-#[inline]
+#[inline(always)]
 fn axpy4(out: &mut [f32], a: [f32; KU], b0: &[f32], b1: &[f32], b2: &[f32], b3: &[f32]) {
     let mut o_it = out.chunks_exact_mut(PANEL);
     let mut b0_it = b0.chunks_exact(PANEL);
@@ -140,7 +153,7 @@ fn axpy4(out: &mut [f32], a: [f32; KU], b0: &[f32], b1: &[f32], b2: &[f32], b3: 
 /// in a `[f32; W]` (vector registers) across the whole k loop — one `b` load
 /// per product, zero output traffic inside the loop. Adds per element are
 /// sequential in ascending k, preserving the summation-order contract.
-#[inline]
+#[inline(always)]
 fn panel_acc<const W: usize>(out_panel: &mut [f32], a_row: &[f32], b: &Mat, jp: usize) {
     let mut acc = [0.0f32; W];
     acc.copy_from_slice(out_panel);
@@ -155,7 +168,7 @@ fn panel_acc<const W: usize>(out_panel: &mut [f32], a_row: &[f32], b: &Mat, jp: 
 
 /// `out_row += a_row @ b` for one output row: wide register panels, then
 /// narrow ones, then a k-ascending axpy over the sub-[`PANEL`] tail.
-#[inline]
+#[inline(always)]
 fn accum_row(out_row: &mut [f32], a_row: &[f32], b: &Mat) {
     let m = out_row.len();
     let mut jp = 0;
@@ -232,6 +245,7 @@ impl Mat {
     }
 
     /// `out = self @ other`, overwriting `out` (which must be n×m).
+    #[inline(always)]
     pub fn matmul_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(
             (out.rows, out.cols),
@@ -245,6 +259,7 @@ impl Mat {
     /// `out += self @ other` — the tiled core kernel. Per output element the
     /// products are added in ascending-k order starting from the existing
     /// `out` value (see the module doc's summation-order contract).
+    #[inline(always)]
     pub fn matmul_acc_into(&self, other: &Mat, out: &mut Mat) {
         assert_eq!(self.cols, other.rows, "matmul shape mismatch");
         assert_eq!(
@@ -343,6 +358,7 @@ impl Mat {
     /// Fused `out = relu(self @ w + bias)`: each output row is initialized
     /// with the bias row and the products accumulate on top (bias-first
     /// order), then ReLU is applied in place — no intermediate matrix.
+    #[inline(always)]
     pub fn matmul_bias_relu_into(&self, w: &Mat, bias: &Mat, out: &mut Mat) {
         out.fill_row_broadcast(bias);
         self.matmul_acc_into(w, out);
@@ -421,6 +437,7 @@ impl Mat {
     }
 
     /// Add `other` element-wise in place.
+    #[inline(always)]
     pub fn add_assign(&mut self, other: &Mat) {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, b) in self.data.iter_mut().zip(&other.data) {
@@ -450,6 +467,7 @@ impl Mat {
 
     /// Overwrite every row with a 1×cols row vector (bias-first affine
     /// initialization; see [`Mat::matmul_bias_relu_into`]).
+    #[inline(always)]
     pub fn fill_row_broadcast(&mut self, row: &Mat) {
         assert_eq!(row.rows, 1);
         assert_eq!(row.cols, self.cols);
@@ -476,6 +494,7 @@ impl Mat {
     }
 
     /// ReLU in place; returns the pre-activation copy for backward.
+    #[inline(always)]
     pub fn relu_inplace(&mut self) {
         for v in &mut self.data {
             if *v < 0.0 {
