@@ -916,9 +916,9 @@ pub fn fleet(args: &Args) -> CmdResult {
         clear_fleet_dir(&dir)?;
     }
 
-    // Even a failed or degraded fleet must seal its event stream — the
-    // degradation and crash-loop events are exactly what a post-mortem
-    // (`snowcat status DIR`) needs to see.
+    // Every path after the fleet ran seals the event stream, a failed or
+    // degraded fleet's too — the degradation and crash-loop events are
+    // exactly what a post-mortem (`snowcat status DIR`) needs to see.
     let fleet_result = (|| -> Result<FleetCheckpoint, Box<dyn std::error::Error>> {
         let serve = args.has_flag("serve");
         if transport == "process" {
@@ -1014,46 +1014,41 @@ pub fn fleet(args: &Args) -> CmdResult {
         }
         Ok(fc)
     })();
-    let fc = match fleet_result {
-        Ok(fc) => fc,
-        Err(e) => {
-            finish_event_writer(writer)?;
-            return Err(e);
-        }
-    };
-
-    println!(
-        "fleet: {} shard(s) over {} CTIs with {} worker(s) — {} steal(s), {} re-executed \
-         position(s), {} lost worker(s), {} quarantined shard(s)",
-        fc.shards.len(),
-        fc.stream_len,
-        fc.workers,
-        fc.steals,
-        fc.reexecutions,
-        fc.lost_workers,
-        fc.quarantined_shards().len(),
-    );
-    let report = report_from_fleet_checkpoint(&fc, &setup.cost)?;
-    if let Some(c) = &report.campaign {
+    let outcome = fleet_result.and_then(|fc| {
         println!(
-            "{}: {} CTIs, {} executions, {} races ({} harmful), {} sched-dep blocks, {} bugs, \
-             {:.2} sim h",
-            c.label,
-            c.ctis,
-            c.executions,
-            c.races,
-            c.harmful_races,
-            c.sched_dep_blocks,
-            c.bugs_found.len(),
-            c.sim_hours,
+            "fleet: {} shard(s) over {} CTIs with {} worker(s) — {} steal(s), {} re-executed \
+             position(s), {} lost worker(s), {} quarantined shard(s)",
+            fc.shards.len(),
+            fc.stream_len,
+            fc.workers,
+            fc.steals,
+            fc.reexecutions,
+            fc.lost_workers,
+            fc.quarantined_shards().len(),
         );
-    }
-    if let Some(path) = args.get("report") {
-        std::fs::write(path, report.to_canonical_json())?;
-        println!("report written to {path}");
-    }
+        let report = report_from_fleet_checkpoint(&fc, &setup.cost)?;
+        if let Some(c) = &report.campaign {
+            println!(
+                "{}: {} CTIs, {} executions, {} races ({} harmful), {} sched-dep blocks, {} \
+                 bugs, {:.2} sim h",
+                c.label,
+                c.ctis,
+                c.executions,
+                c.races,
+                c.harmful_races,
+                c.sched_dep_blocks,
+                c.bugs_found.len(),
+                c.sim_hours,
+            );
+        }
+        if let Some(path) = args.get("report") {
+            std::fs::write(path, report.to_canonical_json())?;
+            println!("report written to {path}");
+        }
+        Ok(())
+    });
     finish_event_writer(writer)?;
-    Ok(())
+    outcome
 }
 
 /// `snowcat fleet-worker` — the hidden subprocess side of

@@ -2,7 +2,9 @@
 //! subprocess mid-shard, SIGKILL the coordinator and check for orphans,
 //! force graceful degradation below `--min-workers`, and drive a
 //! poison-shard crash loop into quarantine — all while the merged report
-//! stays byte-identical to an uninterrupted thread-transport fleet.
+//! stays byte-identical to an uninterrupted thread-transport fleet. A
+//! fleet whose every shard is quarantined fails with exit 8 and a sealed
+//! event stream.
 
 use std::path::Path;
 use std::process::Command;
@@ -289,6 +291,34 @@ fn poison_shard_crash_loop_is_quarantined_via_cli() {
         stdout.contains("1 quarantined shard(s)"),
         "summary counts the quarantined shard: {stdout}"
     );
+}
+
+#[test]
+fn all_quarantined_fleet_exits_8_with_a_sealed_event_stream() {
+    // Every shard is poisoned, so every shard is quarantined before it
+    // persists a checkpoint: nothing can be merged. That is a failed fleet
+    // (exit 8) naming the shards, not a usage error, and the event stream
+    // that explains it must still be sealed.
+    let dir = tmp_dir("all-quarantined");
+    let fleet_dir = dir.join("victim");
+    let out = snowcat()
+        .args(COMMON)
+        .args(["--workers", "2", "--transport", "process"])
+        .args(["--fault-plan", "poison-shard@0,poison-shard@1"])
+        .args(["--dir", fleet_dir.to_str().unwrap()])
+        .args(["--events", fleet_dir.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(8), "a fleet with nothing to merge failed: {stderr}");
+    assert!(stderr.contains("[0, 1]"), "stderr names the quarantined shards: {stderr}");
+    let events = std::fs::read_to_string(fleet_dir.join("events.jsonl")).unwrap();
+    assert!(!events.is_empty(), "the failed fleet's event stream must be written and sealed");
+    let status = snowcat()
+        .args(["status", fleet_dir.to_str().unwrap(), "--self-check"])
+        .status()
+        .expect("binary runs");
+    assert!(status.success(), "status --self-check on the failed fleet's stream");
 }
 
 #[test]

@@ -1007,8 +1007,11 @@ impl FleetCtx<'_> {
 /// `cfg.dir` is loaded and only incomplete shards re-execute — from their
 /// freshest usable per-shard checkpoint, so the final merged state is
 /// byte-identical to an uninterrupted run. Returns the final fleet
-/// checkpoint; [`SnowcatError::FleetFailed`] when every worker died with
-/// shards left unfinished (the SCFC stays on disk for a later resume).
+/// checkpoint; [`SnowcatError::FleetDegraded`] once live slots fell below
+/// `cfg.min_workers` with work left, whatever completed afterwards;
+/// [`SnowcatError::FleetFailed`] when every worker died with shards left
+/// unfinished, or when every shard was quarantined before persisting a
+/// checkpoint (the SCFC stays on disk for a later resume).
 pub fn run_fleet(
     worker: &dyn FleetWorker,
     label: &str,
@@ -1139,17 +1142,20 @@ pub fn run_fleet(
     };
     let degraded = c.degraded;
     drop(c);
+    if let Some(live_workers) = degraded {
+        // Graceful degradation: slots retired past the --min-workers floor
+        // with work left. Progress is checkpointed; resume with the same
+        // flags (or fresh workers) to finish. A shard a live slot was
+        // already running may complete after the fleet degraded, even the
+        // last one: the run still announced degradation, so it exits as
+        // degraded, and resuming a complete SCFC just merges and reports.
+        return Err(SnowcatError::FleetDegraded {
+            live_workers,
+            min_workers: cfg.min_workers,
+            detail: format!("resume from {}", ctx.scfc_path.display()),
+        });
+    }
     if !fc.is_complete() {
-        if let Some(live_workers) = degraded {
-            // Graceful degradation: slots retired past the --min-workers
-            // floor with work left. Progress is checkpointed; resume with
-            // the same flags (or fresh workers) to finish.
-            return Err(SnowcatError::FleetDegraded {
-                live_workers,
-                min_workers: cfg.min_workers,
-                detail: format!("resume from {}", ctx.scfc_path.display()),
-            });
-        }
         let failed_shards: Vec<usize> =
             fc.shards.iter().filter(|s| !s.is_terminal()).map(|s| s.index).collect();
         return Err(SnowcatError::FleetFailed {
@@ -1160,6 +1166,17 @@ pub fn run_fleet(
                 cfg.workers,
                 ctx.scfc_path.display()
             ),
+        });
+    }
+    if fc.shards.iter().all(|s| s.checkpoint.is_none()) {
+        // Every shard was quarantined before it persisted any progress:
+        // there is nothing to merge, and a resume would find the same.
+        return Err(SnowcatError::FleetFailed {
+            failed_shards: fc.quarantined_shards(),
+            shards: n_shards,
+            detail: "every shard was quarantined before it persisted a checkpoint, so there \
+                     is nothing to merge"
+                .into(),
         });
     }
     let (mut executions, mut races_set) = (0u64, BTreeSet::new());
