@@ -381,11 +381,6 @@ impl ValueFlow {
     pub fn block_alias_density(&self, b: BlockId) -> u8 {
         self.block_density[b.index()]
     }
-
-    /// Per-block alias-class density channel, indexed by block.
-    pub fn block_densities(&self) -> &[u8] {
-        &self.block_density
-    }
 }
 
 /// Resolve an address expression under an abstract register file. Sound:

@@ -27,8 +27,7 @@ use snowcat_harness::{
 use snowcat_kernel::{asm, Kernel, KernelVersion};
 use snowcat_nn::{Checkpoint, PicConfig, PicModel, TrainConfig};
 use snowcat_serve::{
-    run_served_campaign, ApGate, InferenceServer, OverloadPolicy, RefreshConfig, ServeConfig,
-    ServedCampaignConfig,
+    run_served_campaign, ApGate, InferenceServer, RefreshConfig, ServeConfig, ServedCampaignConfig,
 };
 
 /// Default family seed, matching the experiment harness.
@@ -595,7 +594,6 @@ fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
         max_batch: args.get_parse("serve-batch", 16usize)?,
         max_wait_us: args.get_parse("serve-wait-us", 200u64)?,
         workers: args.get_parse("serve-workers", 1usize)?,
-        ..ServeConfig::default()
     })
 }
 
@@ -1107,9 +1105,7 @@ pub fn serve(args: &Args) -> CmdResult {
         "clients",
         "batch",
         "wait-us",
-        "queue-cap",
         "workers",
-        "shed",
         "swap",
         "events",
         "out",
@@ -1124,10 +1120,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let cfg = ServeConfig {
         max_batch: args.get_parse("batch", 16usize)?,
         max_wait_us: args.get_parse("wait-us", 200u64)?,
-        queue_cap: args.get_parse("queue-cap", 256usize)?,
-        overload: if args.has_flag("shed") { OverloadPolicy::Shed } else { OverloadPolicy::Block },
         workers: args.get_parse("workers", 1usize)?,
-        ..ServeConfig::default()
     };
 
     // Deterministic workload: the same candidate CT graphs an explorer
@@ -1159,7 +1152,6 @@ pub fn serve(args: &Args) -> CmdResult {
     let direct_s = t0.elapsed().as_secs_f64();
 
     let (sink, writer) = spawn_event_writer(args)?;
-    let slo_p99_us = cfg.slo_p99_us;
     let mut server = InferenceServer::start(&ck, cfg, sink);
     let t1 = std::time::Instant::now();
     let served: Vec<Vec<_>> = std::thread::scope(|s| {
@@ -1229,15 +1221,13 @@ pub fn serve(args: &Args) -> CmdResult {
         direct_s / served_s.max(1e-9)
     );
     println!(
-        "server : {} flushes ({:.0}% fill), {} shed, queue depth max {}, \
-         p50 {}us, p99 {}us (SLO {}us)",
+        "server : {} flushes ({:.0}% fill), {} shed, queue depth max {}, p50 {}us, p99 {}us",
         report.flushes,
         report.batch_fill * 100.0,
         report.shed,
         report.queue_depth_max,
         report.p50_us,
         report.p99_us,
-        slo_p99_us,
     );
     if let Some(path) = args.get("out") {
         std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
@@ -1505,6 +1495,7 @@ fn print_human_status(view: &StatusView) {
     let (mut fleet_spawns, mut fleet_respawns, mut fleet_crash_loops) = (0u64, 0u64, 0u64);
     let mut fleet_degraded: Option<(u64, u64)> = None;
     let mut fleet_finished: Option<FleetEvent> = None;
+    let mut fleet_failed: Option<String> = None;
     for r in recs {
         match &r.event {
             Event::Campaign(e) => match e {
@@ -1569,6 +1560,7 @@ fn print_human_status(view: &StatusView) {
                     fleet_degraded = Some((*live_workers, *min_workers));
                 }
                 FleetEvent::Finished { .. } => fleet_finished = Some(e.clone()),
+                FleetEvent::Failed { detail } => fleet_failed = Some(detail.clone()),
                 _ => {}
             },
             _ => {}
@@ -1641,7 +1633,8 @@ fn print_human_status(view: &StatusView) {
         );
     }
     if let Some((workers, shards, resumed)) = fleet_started {
-        println!("fleet — {state}{}", if resumed { " (resumed)" } else { "" });
+        let fleet_state = if fleet_failed.is_some() { "failed" } else { state };
+        println!("fleet — {fleet_state}{}", if resumed { " (resumed)" } else { "" });
         println!(
             "  shards   : {fleet_done}/{shards} done across {workers} worker(s), \
              {fleet_quarantined} quarantined"
@@ -1658,6 +1651,9 @@ fn print_human_status(view: &StatusView) {
         }
         if let Some((live, floor)) = fleet_degraded {
             println!("  DEGRADED : {live} live worker(s) left, below the --min-workers floor of {floor} — resumable");
+        }
+        if let Some(detail) = &fleet_failed {
+            println!("  FAILED   : {detail}");
         }
         if let Some(FleetEvent::Finished { reexecutions, executions, races, .. }) = &fleet_finished
         {

@@ -101,8 +101,8 @@ COMMANDS:
             bit-identical to direct inference; --swap exercises the atomic
             hot-swap path mid-stream)
               --version V --model FILE [--requests N] [--request-size K]
-              [--clients C] [--batch N] [--wait-us U] [--queue-cap Q]
-              [--workers W] [--shed] [--swap] [--seed N]
+              [--clients C] [--batch N] [--wait-us U] [--workers W]
+              [--swap] [--seed N]
               [--events DIR] [--out FILE]
   status    summarize a campaign/training directory: tail the structured
             event stream (events.jsonl) and the latest checkpoint into a

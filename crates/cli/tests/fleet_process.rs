@@ -4,7 +4,7 @@
 //! poison-shard crash loop into quarantine — all while the merged report
 //! stays byte-identical to an uninterrupted thread-transport fleet. A
 //! fleet whose every shard is quarantined fails with exit 8 and a sealed
-//! event stream.
+//! event stream, and `status` reports each failed fleet as failed.
 
 use std::path::Path;
 use std::process::Command;
@@ -130,8 +130,11 @@ fn sigkilled_worker_subprocess_is_stolen_and_report_is_unchanged() {
         .expect("binary spawns");
     let coord = child.id();
 
-    // Once a shard checkpoint proves progress, SIGKILL one live worker
-    // subprocess out from under its lease.
+    // Once both shard checkpoints prove progress, SIGKILL one live worker
+    // subprocess out from under its lease. Waiting for both means the
+    // victim has progress to hand over: a steal from a worker that
+    // persisted nothing is a no-progress generation, which re-runs the
+    // shard with a salted seed by design and changes the report.
     let deadline = Instant::now() + Duration::from_secs(60);
     let killed = loop {
         assert!(Instant::now() < deadline, "no killable worker appeared within 60s");
@@ -141,7 +144,7 @@ fn sigkilled_worker_subprocess_is_stolen_and_report_is_unchanged() {
         );
         let workers = worker_children_of(coord);
         let progressed =
-            fleet_dir.join("shard-0.ckpt").exists() || fleet_dir.join("shard-1.ckpt").exists();
+            fleet_dir.join("shard-0.ckpt").exists() && fleet_dir.join("shard-1.ckpt").exists();
         if progressed {
             if let Some(&pid) = workers.first() {
                 sigkill(pid);
@@ -245,6 +248,7 @@ fn degraded_fleet_exits_8_and_resumes_byte_identically() {
         .args(["--fault-plan", "kill-worker@0"])
         .args(["--checkpoint-every", "1"])
         .args(["--dir", fleet_dir.to_str().unwrap()])
+        .args(["--events", fleet_dir.to_str().unwrap()])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(8), "degradation below --min-workers is exit code 8");
@@ -253,6 +257,7 @@ fn degraded_fleet_exits_8_and_resumes_byte_identically() {
     assert!(stderr.contains("--min-workers"), "stderr names the floor: {stderr}");
     assert!(stderr.contains("resume"), "stderr hints at resume: {stderr}");
     assert!(fleet_dir.join("fleet.scfc").exists(), "degradation must leave the SCFC behind");
+    assert_status_reports_failure(&fleet_dir);
 
     let resumed_report = dir.join("resumed.json");
     let status = snowcat()
@@ -319,6 +324,17 @@ fn all_quarantined_fleet_exits_8_with_a_sealed_event_stream() {
         .status()
         .expect("binary runs");
     assert!(status.success(), "status --self-check on the failed fleet's stream");
+    assert_status_reports_failure(&fleet_dir);
+}
+
+/// `snowcat status DIR` on a fleet that exited 8 shows the failure, not a
+/// run still in progress: the stream ends with a terminal event.
+fn assert_status_reports_failure(dir: &Path) {
+    let out = snowcat().args(["status", dir.to_str().unwrap()]).output().expect("binary runs");
+    assert!(out.status.success(), "status on the failed fleet's directory");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("running"), "a failed fleet is not running: {stdout}");
+    assert!(stdout.contains("fleet — failed"), "status names the failure: {stdout}");
 }
 
 #[test]

@@ -66,7 +66,6 @@ pub use snowboard::{
     ClusterMember, InsPair, Sampler, SamplingOutcome,
 };
 pub use strategy::{
-    standard_strategies, S1NewBitmap, S2NewBlocks, S3LimitedTrials, SelectionStrategy,
-    StrategySnapshot,
+    S1NewBitmap, S2NewBlocks, S3LimitedTrials, SelectionStrategy, StrategySnapshot,
 };
 pub use triage::{render_findings, triage, Finding};

@@ -115,8 +115,8 @@ impl PredictorStats {
         self.queue_depth_max
     }
 
-    /// Caller requests that bypassed the serving queue under the shed
-    /// overload policy (predicted inline instead of queued).
+    /// Caller requests that bypassed the serving queue because the server
+    /// had shut down (predicted inline on the caller's thread instead).
     pub fn shed_requests(&self) -> u64 {
         self.shed_requests
     }

@@ -212,15 +212,6 @@ impl SelectionStrategy for S3LimitedTrials {
     }
 }
 
-/// The strategy lineup evaluated in the paper's §5.3.
-pub fn standard_strategies() -> Vec<Box<dyn SelectionStrategy>> {
-    vec![
-        Box::new(S1NewBitmap::new()),
-        Box::new(S2NewBlocks::new()),
-        Box::new(S3LimitedTrials::new(3)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

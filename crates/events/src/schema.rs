@@ -98,7 +98,7 @@ pub enum TrainEvent {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeEvent {
     /// Server came up with its batching policy.
-    Started { model: String, max_batch: u64, max_wait_us: u64, queue_cap: u64 },
+    Started { model: String, max_batch: u64, max_wait_us: u64 },
     /// Periodic cumulative serving counters (emitted on snapshot, not per
     /// batch, so the stream stays proportional to campaign progress).
     Snapshot {
@@ -177,6 +177,9 @@ pub enum FleetEvent {
         executions: u64,
         races: u64,
     },
+    /// Coordinator exit on a failed or degraded fleet (exit code 8), with
+    /// the error it returned. The SCFC stays on disk for a resume.
+    Failed { detail: String },
 }
 
 /// One leg of the schema, as stored in the envelope.
@@ -315,6 +318,7 @@ impl Event {
                 FleetEvent::FleetDegraded { .. } => "fleet.degraded",
                 FleetEvent::CheckpointWritten { .. } => "fleet.checkpoint",
                 FleetEvent::Finished { .. } => "fleet.finished",
+                FleetEvent::Failed { .. } => "fleet.failed",
             },
         }
     }
@@ -326,7 +330,7 @@ impl Event {
             Event::Campaign(CampaignEvent::Finished { .. })
                 | Event::Train(TrainEvent::Finished { .. })
                 | Event::Serve(ServeEvent::Stopped { .. })
-                | Event::Fleet(FleetEvent::Finished { .. })
+                | Event::Fleet(FleetEvent::Finished { .. } | FleetEvent::Failed { .. })
         )
     }
 }

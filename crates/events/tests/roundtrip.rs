@@ -110,7 +110,7 @@ fn arb_serve() -> impl Strategy<Value = ServeEvent> {
         0.0f64..1.0,
     )
         .prop_map(|(variant, text, (a, b, c), (x, y, z), f)| match variant {
-            0 => ServeEvent::Started { model: text, max_batch: x, max_wait_us: z, queue_cap: b },
+            0 => ServeEvent::Started { model: text, max_batch: x, max_wait_us: z },
             1 => ServeEvent::Snapshot {
                 requests: a,
                 graphs: b,
@@ -132,7 +132,7 @@ fn arb_serve() -> impl Strategy<Value = ServeEvent> {
 
 fn arb_fleet() -> impl Strategy<Value = FleetEvent> {
     (
-        0usize..14,
+        0usize..15,
         arb_string(),
         (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
         (0u64..64, 0u64..64, 0u64..10_000),
@@ -163,6 +163,7 @@ fn arb_fleet() -> impl Strategy<Value = FleetEvent> {
             10 => FleetEvent::WorkerRespawned { worker: y, attempt: z, backoff_ms: a },
             11 => FleetEvent::WorkerCrashLoop { worker: y, deaths: z, detail: text },
             12 => FleetEvent::FleetDegraded { live_workers: x, min_workers: y },
+            13 => FleetEvent::Failed { detail: text },
             _ => FleetEvent::Finished {
                 shards: x,
                 steals: y,
@@ -268,7 +269,6 @@ fn one_of_each() -> Vec<Event> {
             model: "pic-5".into(),
             max_batch: 16,
             max_wait_us: 500,
-            queue_cap: 256,
         }),
         Event::Serve(ServeEvent::Snapshot {
             requests: 90,
@@ -347,6 +347,9 @@ fn one_of_each() -> Vec<Event> {
             quarantined_shards: 1,
             executions: 160,
             races: 21,
+        }),
+        Event::Fleet(FleetEvent::Failed {
+            detail: "fleet failed: 2/2 shard(s) did not complete ([0, 1])".into(),
         }),
     ]
 }

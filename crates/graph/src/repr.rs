@@ -212,11 +212,6 @@ impl CtGraph {
             .collect()
     }
 
-    /// Look up the vertex index of a (thread, block) pair.
-    pub fn vertex_of(&self, thread: ThreadId, block: BlockId) -> Option<usize> {
-        self.verts.iter().position(|v| v.thread == thread && v.block == block)
-    }
-
     /// Composition statistics (the paper's §5.1.1 reports these per split).
     pub fn stats(&self) -> GraphStats {
         let mut s = GraphStats::default();

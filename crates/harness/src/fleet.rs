@@ -26,8 +26,7 @@
 //! is independent of shard completion order.
 
 use crate::checkpoint::{
-    load_checkpoint_with_fallback, load_with_fallback, prev_path, save_bytes_atomic,
-    CampaignCheckpoint,
+    load_checkpoint_with_fallback, load_with_fallback, save_bytes_atomic, CampaignCheckpoint,
 };
 use crate::fault::{CheckpointFault, CorruptionKind, FaultPlan};
 use crate::supervisor::{run_supervised_campaign, RecoveryLog, SupervisedResult, SupervisorConfig};
@@ -1023,7 +1022,8 @@ pub fn run_fleet(
     std::fs::create_dir_all(&cfg.dir)
         .map_err(|source| SnowcatError::Io { path: cfg.dir.clone(), source })?;
     let scfc_path = cfg.dir.join(FLEET_CKPT_FILE);
-    let shards = if resume {
+    // Steal, re-execution and lost-worker counters continue across resumes.
+    let (shards, steals, reexecutions, lost_workers) = if resume {
         let (fc, _) = load_fleet_checkpoint_with_fallback(&scfc_path)?;
         if fc.label != label {
             return Err(SnowcatError::Config(format!(
@@ -1050,9 +1050,9 @@ pub fn run_fleet(
                 s.status = ShardStatus::Pending;
             }
         }
-        shards
+        (shards, fc.steals, fc.reexecutions, fc.lost_workers)
     } else {
-        partition_stream(stream_len, cfg.workers)
+        let shards = partition_stream(stream_len, cfg.workers)
             .into_iter()
             .enumerate()
             .map(|(index, (start, end))| ShardState {
@@ -1064,7 +1064,8 @@ pub fn run_fleet(
                 stalled_generations: 0,
                 checkpoint: None,
             })
-            .collect()
+            .collect();
+        (shards, 0, 0, 0)
     };
     let n_shards = shards.len();
     if let Some(sink) = &cfg.events {
@@ -1088,13 +1089,6 @@ pub fn run_fleet(
             }
         })
         .collect();
-    let (steals, reexecutions, lost_workers) = if resume {
-        // Counters continue across resumes; reload from the checkpoint.
-        let (fc, _) = load_fleet_checkpoint_with_fallback(&scfc_path)?;
-        (fc.steals, fc.reexecutions, fc.lost_workers)
-    } else {
-        (0, 0, 0)
-    };
     let ctx = FleetCtx {
         cfg,
         label,
@@ -1142,23 +1136,22 @@ pub fn run_fleet(
     };
     let degraded = c.degraded;
     drop(c);
-    if let Some(live_workers) = degraded {
+    let failure = if let Some(live_workers) = degraded {
         // Graceful degradation: slots retired past the --min-workers floor
         // with work left. Progress is checkpointed; resume with the same
         // flags (or fresh workers) to finish. A shard a live slot was
         // already running may complete after the fleet degraded, even the
         // last one: the run still announced degradation, so it exits as
         // degraded, and resuming a complete SCFC just merges and reports.
-        return Err(SnowcatError::FleetDegraded {
+        Some(SnowcatError::FleetDegraded {
             live_workers,
             min_workers: cfg.min_workers,
             detail: format!("resume from {}", ctx.scfc_path.display()),
-        });
-    }
-    if !fc.is_complete() {
+        })
+    } else if !fc.is_complete() {
         let failed_shards: Vec<usize> =
             fc.shards.iter().filter(|s| !s.is_terminal()).map(|s| s.index).collect();
-        return Err(SnowcatError::FleetFailed {
+        Some(SnowcatError::FleetFailed {
             failed_shards,
             shards: n_shards,
             detail: format!(
@@ -1166,18 +1159,27 @@ pub fn run_fleet(
                 cfg.workers,
                 ctx.scfc_path.display()
             ),
-        });
-    }
-    if fc.shards.iter().all(|s| s.checkpoint.is_none()) {
+        })
+    } else if fc.shards.iter().all(|s| s.checkpoint.is_none()) {
         // Every shard was quarantined before it persisted any progress:
         // there is nothing to merge, and a resume would find the same.
-        return Err(SnowcatError::FleetFailed {
+        Some(SnowcatError::FleetFailed {
             failed_shards: fc.quarantined_shards(),
             shards: n_shards,
             detail: "every shard was quarantined before it persisted a checkpoint, so there \
                      is nothing to merge"
                 .into(),
-        });
+        })
+    } else {
+        None
+    };
+    if let Some(err) = failure {
+        // A failed fleet's stream ends with a terminal event too, so
+        // `status` shows the outcome and `status --follow` stops.
+        if let Some(sink) = &cfg.events {
+            sink.fleet(FleetEvent::Failed { detail: err.to_string() });
+        }
+        return Err(err);
     }
     let (mut executions, mut races_set) = (0u64, BTreeSet::new());
     for s in &fc.shards {
@@ -1219,7 +1221,6 @@ pub fn clear_fleet_dir(dir: &Path) -> Result<(), SnowcatError> {
             std::fs::remove_file(entry.path()).map_err(|e| io(&entry.path(), e))?;
         }
     }
-    let _ = prev_path(&dir.join(FLEET_CKPT_FILE)); // (path helper exercised for doc parity)
     Ok(())
 }
 

@@ -6,7 +6,6 @@
 //! supervising the loop; this crate is that layer for the reproduction,
 //! built from these pieces:
 //!
-//! * [`watchdog`] — fuel-bounded execution with hang/crash classification,
 //! * [`checkpoint`] — checksummed, atomically-rotated campaign snapshots
 //!   with `.prev` fallback,
 //! * [`fault`] — deterministic fault injection to prove the recovery paths,
@@ -46,7 +45,6 @@ pub mod reporting;
 pub mod supervisor;
 pub mod trainer;
 pub mod transport;
-pub mod watchdog;
 
 pub use checkpoint::{
     decode_checkpoint, encode_checkpoint, load_checkpoint_with_fallback, load_with_fallback,
@@ -78,4 +76,3 @@ pub use trainer::{
 pub use transport::{
     read_frame, write_frame, WireAssignment, WireMsg, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,
 };
-pub use watchdog::{run_ct_watchdog, ExecOutcome};

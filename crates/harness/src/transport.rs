@@ -28,7 +28,6 @@ use std::io::{Read, Write};
 use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
-use snowcat_core::SnowcatError;
 use snowcat_corpus::binfmt::crc32;
 
 use crate::checkpoint::CampaignCheckpoint;
@@ -204,11 +203,6 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<WireMsg>> {
     let msg = serde_json::from_str(text)
         .map_err(|e| corrupt(format!("undecodable frame payload: {e}")))?;
     Ok(Some(msg))
-}
-
-/// Map a wire IO failure onto the fleet's worker-death error.
-pub fn wire_error(worker: usize, shard: usize, detail: impl Into<String>) -> SnowcatError {
-    SnowcatError::WorkerLost { worker, shard, detail: detail.into() }
 }
 
 #[cfg(test)]

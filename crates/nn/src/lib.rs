@@ -49,9 +49,8 @@ pub use model::{BaselinePredictor, PicConfig, PicModel, PicParams, PicSession};
 pub use optim::{Adam, AdamConfig, AdamSnapshot};
 pub use tensor::{Mat, Scratch};
 pub use train::{
-    dataset_fingerprint, evaluate, evaluate_pooled, evaluate_predictions,
-    evaluate_predictions_pooled, flow_average_precision, train, tune_threshold_f2,
-    tune_threshold_f2_pooled, urb_average_precision, Checkpoint, EpochError, EpochFault,
-    EpochOutcome, FlowLabeledGraph, LabeledGraph, Next, TrainConfig, TrainExample, TrainHook,
-    TrainReport, TrainState, Verdict,
+    dataset_fingerprint, evaluate, evaluate_pooled, evaluate_predictions_pooled,
+    flow_average_precision, train, tune_threshold_f2, tune_threshold_f2_pooled,
+    urb_average_precision, Checkpoint, EpochError, EpochFault, EpochOutcome, FlowLabeledGraph,
+    LabeledGraph, Next, TrainConfig, TrainExample, TrainHook, TrainReport, TrainState, Verdict,
 };

@@ -897,11 +897,6 @@ impl PicModel {
         scratch.put(dm);
         scratch.put(dh);
     }
-
-    /// Count of parameters (for reporting).
-    pub fn num_params(&self) -> usize {
-        self.params.tensors().iter().map(|t| t.data.len()).sum()
-    }
 }
 
 /// The three naive baseline predictors from Table 1.

@@ -64,11 +64,6 @@ impl Adam {
         self.cfg.lr
     }
 
-    /// Override the learning rate (fine-tuning uses a smaller one).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.cfg.lr = lr;
-    }
-
     /// Capture the complete optimizer state.
     pub fn snapshot(&self) -> AdamSnapshot {
         AdamSnapshot { cfg: self.cfg, m: self.m.clone(), v: self.v.clone(), t: self.t }

@@ -816,33 +816,6 @@ pub fn evaluate(
     avg.finish()
 }
 
-/// Evaluate an arbitrary prediction function (used for the Table 1 baseline
-/// rows, which do not involve the model).
-pub fn evaluate_predictions<F>(
-    examples: &[LabeledGraph<'_>],
-    urb_only: bool,
-    mut predict: F,
-) -> MeanMetrics
-where
-    F: FnMut(&CtGraph) -> Vec<bool>,
-{
-    let mut avg = PerGraphAverager::new();
-    for (g, y) in examples {
-        if g.num_verts() == 0 {
-            continue;
-        }
-        let preds_all = predict(g);
-        let idx: Vec<usize> = if urb_only { g.urb_indices() } else { (0..g.num_verts()).collect() };
-        if idx.is_empty() {
-            continue;
-        }
-        let preds: Vec<bool> = idx.iter().map(|&i| preds_all[i]).collect();
-        let truth: Vec<bool> = idx.iter().map(|&i| y[i]).collect();
-        avg.push(&Confusion::from_preds(&preds, &truth));
-    }
-    avg.finish()
-}
-
 /// A serializable model checkpoint: config, parameters, tuned threshold.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Checkpoint {

@@ -142,11 +142,6 @@ impl RaceSet {
         self.keys.insert(key)
     }
 
-    /// Add all races from a report list; returns how many were new.
-    pub fn absorb(&mut self, reports: &[RaceReport]) -> usize {
-        reports.iter().filter(|r| self.keys.insert(r.key)).count()
-    }
-
     /// Number of unique races seen.
     pub fn len(&self) -> usize {
         self.keys.len()

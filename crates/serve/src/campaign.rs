@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// How to serve a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedCampaignConfig {
-    /// Server tuning (batching, backpressure, workers).
+    /// Server tuning (batching, workers).
     pub serve: ServeConfig,
     /// MLPCT candidate-selection strategy.
     pub strategy: StrategyKind,
@@ -68,8 +68,8 @@ pub struct ServedCampaignOutcome {
 /// Starts the server on `checkpoint`, wires every accepted execution's CT
 /// pair into a [`CtFeed`], runs the refresher (when configured) on a
 /// sibling thread, and shuts the server down after the campaign — the
-/// batcher drains every queued request first, so no prediction is lost at
-/// the boundary.
+/// shutdown flushes every queued request first, so no prediction is lost
+/// at the boundary.
 #[allow(clippy::too_many_arguments)]
 pub fn run_served_campaign(
     kernel: &Kernel,

@@ -8,10 +8,9 @@
 //!   **adaptive micro-batching** — a flush goes out when it fills
 //!   ([`ServeConfig::max_batch`]), when every live handle has a request
 //!   queued (no other request can arrive), or when the oldest request ages
-//!   out ([`ServeConfig::max_wait_us`]), whichever comes first. The caller
-//!   that completes a batch flushes it on its own thread; a batcher thread
-//!   flushes the rest. The queue is bounded; overload either blocks
-//!   callers or sheds to inline prediction ([`OverloadPolicy`]).
+//!   out ([`ServeConfig::max_wait_us`]), whichever comes first. Every flush
+//!   runs on the thread of a caller that is waiting for a result, or of
+//!   `shutdown`; the server spawns no thread.
 //! * [`ServerHandle`] is the cloneable client. It implements
 //!   [`snowcat_core::CoveragePredictor`], so campaigns, worker pools and
 //!   benches plug in unchanged — and served results are **bit-identical**
@@ -43,5 +42,5 @@ pub mod stats;
 pub use campaign::{run_served_campaign, ServedCampaignConfig, ServedCampaignOutcome};
 pub use model::{ApGate, EpochPredictor, ModelEpoch, SwapCell, SwapOutcome};
 pub use refresh::{run_refresher, RefreshConfig, RefreshReport};
-pub use server::{InferenceServer, OverloadPolicy, ServeConfig, ServerHandle};
+pub use server::{InferenceServer, ServeConfig, ServerHandle};
 pub use stats::{LatencyHistogram, ServingReport};

@@ -1,23 +1,32 @@
 //! The in-process inference server: an MPSC request queue with adaptive
-//! micro-batching, flushed by whichever thread completes a batch.
+//! micro-batching, where every flush runs on a caller's thread.
 //!
 //! # Batching policy
 //!
 //! A batch is ready when the queue holds a request and any trigger fires:
 //!
 //! * **fill** — queued graphs reach [`ServeConfig::max_batch`];
-//! * **all in** — queued requests plus callers parked by backpressure reach
-//!   the number of live [`ServerHandle`]s, so no other request can arrive;
+//! * **all in** — queued requests reach the number of live
+//!   [`ServerHandle`]s, so no other request can arrive;
 //! * **age** — the oldest queued request has waited
 //!   [`ServeConfig::max_wait_us`];
 //! * **stop** — the server is shutting down.
 //!
-//! The caller whose admission makes a batch ready drains and flushes it on
-//! its own thread, so a lone caller neither waits for the deadline nor
-//! crosses threads. The batcher thread flushes what becomes ready without
-//! an admission: aged batches, batches completed by a dropped handle, and
-//! the shutdown drain. Flushes may overlap: one per caller that completes
-//! a batch, plus the batcher's.
+//! One rule says who flushes: **the thread whose action makes a batch ready
+//! flushes it**. The server spawns no thread of its own.
+//!
+//! * An admitting caller whose request makes the batch ready flushes it,
+//!   and keeps flushing ready batches until its own result is delivered.
+//! * A caller whose request is still queued waits on its slot until its own
+//!   request would age out. By then the front request has aged too, so the
+//!   caller wakes to a ready batch and flushes it.
+//! * A handle whose `Drop` makes the batch ready wakes the caller of the
+//!   front request, which flushes it.
+//! * [`InferenceServer::shutdown`] drains the queue on its own thread.
+//!
+//! Every waiter re-checks readiness under the queue lock, the lock under
+//! which admission, `Drop`, delivery and shutdown change it, so no wakeup is
+//! lost. Flushes may overlap, one per flushing caller.
 //!
 //! Under load every flush goes out at capacity; a lone caller's requests
 //! flush one by one, at once. Live handles are counted, not callers inside
@@ -26,19 +35,12 @@
 //! to `max_wait_us`. Whole requests are never split across flushes, so a
 //! caller's `predict_batch` result is always produced by a single model
 //! epoch — a hot swap can never hand one caller a torn mix of old and new
-//! weights.
+//! weights. A request larger than `max_batch` flushes alone.
 //!
-//! # Backpressure
-//!
-//! The queue is bounded at [`ServeConfig::queue_cap`] graphs. When it is
-//! full, [`OverloadPolicy::Block`] parks the caller until a drain frees
-//! capacity (lossless, campaign default); a caller whose parking would
-//! complete a batch flushes that batch itself instead, then retries.
-//! [`OverloadPolicy::Shed`] predicts inline on the caller's thread against
-//! the current model snapshot — the request still succeeds (the
-//! [`CoveragePredictor`] contract has no error channel) but skips the queue
-//! and is counted in [`crate::ServingReport::shed`]. A request larger than
-//! the whole queue is always admitted alone rather than deadlocking.
+//! The queue holds only requests whose callers are blocked in
+//! `predict_batch`, so it is as long as the callers make it and needs no
+//! bound. After shutdown a handle predicts inline on the caller's thread,
+//! counted in [`crate::ServingReport::shed`].
 //!
 //! The queue uses `std::sync::{Mutex, Condvar}` rather than the vendored
 //! `parking_lot` (which carries no condvar), matching the event sink's
@@ -58,15 +60,8 @@ use std::time::{Duration, Instant};
 /// No code panics while holding a serving lock, so poisoning means a bug.
 const POISONED: &str = "a serving thread panicked while holding a lock";
 
-/// What to do with a request that does not fit the bounded queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OverloadPolicy {
-    /// Park the caller until the batcher frees capacity (lossless).
-    Block,
-    /// Serve the request inline on the caller's thread, bypassing the
-    /// queue. Counted as shed; the result is still bit-identical.
-    Shed,
-}
+/// Emit a [`ServeEvent::Snapshot`] every this many flushes.
+const SNAPSHOT_EVERY: u64 = 64;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,53 +73,31 @@ pub struct ServeConfig {
     /// the wait on a live handle that has not sent; with `u64::MAX` that
     /// wait has no limit.
     pub max_wait_us: u64,
-    /// Bounded-queue capacity in graphs.
-    pub queue_cap: usize,
-    /// Policy when the queue is full.
-    pub overload: OverloadPolicy,
     /// Inference worker threads per flush (1 = serial on the flushing
     /// thread).
     pub workers: usize,
-    /// Advisory p99 latency objective, µs (reported, not enforced).
-    pub slo_p99_us: u64,
-    /// Emit a [`ServeEvent::Snapshot`] every this many flushes (0 = never).
-    pub snapshot_every: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 64,
-            max_wait_us: 500,
-            queue_cap: 256,
-            overload: OverloadPolicy::Block,
-            workers: 1,
-            slo_p99_us: 50_000,
-            snapshot_every: 64,
-        }
+        Self { max_batch: 64, max_wait_us: 500, workers: 1 }
     }
 }
 
 impl ServeConfig {
     fn normalized(mut self) -> Self {
         self.max_batch = self.max_batch.max(1);
-        self.queue_cap = self.queue_cap.max(self.max_batch);
         self.workers = self.workers.max(1);
         self
     }
 }
 
-/// Rendezvous cell a caller parks on until its flush completes.
+/// Where a queued caller waits for its result. `ready` pairs with the queue
+/// lock, and `result` is written and taken only under that lock.
 #[derive(Default)]
 struct Slot {
     result: Mutex<Option<Vec<PredictedCoverage>>>,
     ready: Condvar,
-}
-
-impl Slot {
-    fn filled(&self) -> bool {
-        self.result.lock().expect(POISONED).is_some()
-    }
 }
 
 struct Request {
@@ -139,26 +112,18 @@ struct Queue {
     pending_graphs: usize,
     /// Live [`ServerHandle`]s: the set that can still send a request.
     handles: usize,
-    /// Callers parked by `Block` backpressure, each holding a request.
-    parked: usize,
     stopped: bool,
 }
 
 impl Queue {
-    /// When the oldest request ages out; `None` when the queue is empty or
-    /// the deadline is unrepresentable (`max_wait_us` near `u64::MAX`).
-    fn deadline(&self, cfg: &ServeConfig) -> Option<Instant> {
-        self.pending.front()?.enqueued.checked_add(Duration::from_micros(cfg.max_wait_us))
-    }
-
     /// Whether a batch should flush now: the one test every flushing site
     /// applies (see the module doc's batching policy).
     fn ready(&self, cfg: &ServeConfig) -> bool {
-        !self.pending.is_empty()
-            && (self.pending_graphs >= cfg.max_batch
-                || self.pending.len() + self.parked >= self.handles
-                || self.stopped
-                || self.deadline(cfg).is_some_and(|d| Instant::now() >= d))
+        let Some(front) = self.pending.front() else { return false };
+        self.pending_graphs >= cfg.max_batch
+            || self.pending.len() >= self.handles
+            || self.stopped
+            || deadline(front.enqueued, cfg).is_some_and(|d| Instant::now() >= d)
     }
 
     /// Take whole requests from the front, up to `max_batch` graphs. An
@@ -183,11 +148,15 @@ impl Queue {
     }
 }
 
+/// When a request enqueued at `enqueued` ages out; `None` when the deadline
+/// is unrepresentable (`max_wait_us` near `u64::MAX`).
+fn deadline(enqueued: Instant, cfg: &ServeConfig) -> Option<Instant> {
+    enqueued.checked_add(Duration::from_micros(cfg.max_wait_us))
+}
+
 struct Shared {
     cfg: ServeConfig,
     q: Mutex<Queue>,
-    not_empty: Condvar,
-    not_full: Condvar,
     model: SwapCell,
     /// Serializes `try_swap` callers so install/gate/rollback is one
     /// transaction.
@@ -211,8 +180,8 @@ impl Shared {
     }
 
     /// Predict on the caller's thread against the current epoch, counted
-    /// as shed. Used by the Shed policy and after shutdown, so a handle
-    /// never deadlocks and never returns a wrong-length result.
+    /// as shed. Used after shutdown, so a handle never deadlocks and never
+    /// returns a wrong-length result.
     fn predict_inline(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
         self.shed.fetch_add(1, Ordering::Relaxed);
         self.inferences.fetch_add(graphs.len() as u64, Ordering::Relaxed);
@@ -226,18 +195,12 @@ impl Shared {
         self.q.lock().expect(POISONED)
     }
 
-    /// Drain the ready batch at the front of `q`, release the lock and
-    /// flush the batch on the calling thread.
-    fn flush_front(&self, mut q: MutexGuard<'_, Queue>) {
-        let batch = q.drain(self.cfg.max_batch);
+    /// Drain the ready batch at the front of `q`, run it through the
+    /// current model epoch with the lock released, then deliver each
+    /// request's slice under the re-taken lock, which is returned.
+    fn flush_front<'a>(&'a self, mut q: MutexGuard<'a, Queue>) -> MutexGuard<'a, Queue> {
+        let mut batch = q.drain(self.cfg.max_batch);
         drop(q);
-        self.not_full.notify_all();
-        self.flush(batch);
-    }
-
-    /// Run one coalesced batch through the current model epoch and deliver
-    /// per-request slices back to the parked callers.
-    fn flush(&self, mut batch: Vec<Request>) {
         debug_assert!(!batch.is_empty(), "flushed an empty batch");
         let epoch = self.model.current();
         // Move the graphs out of the requests rather than cloning them —
@@ -265,18 +228,18 @@ impl Shared {
 
         let done = Instant::now();
         let mut it = preds.into_iter();
+        let q = self.queue();
         for (req, size) in batch.into_iter().zip(sizes) {
             let part: Vec<PredictedCoverage> = it.by_ref().take(size).collect();
             let us = done.saturating_duration_since(req.enqueued).as_micros() as u64;
             self.latency.record(us);
-            let mut slot = req.slot.result.lock().unwrap();
-            *slot = Some(part);
-            req.slot.ready.notify_all();
+            *req.slot.result.lock().expect(POISONED) = Some(part);
+            req.slot.ready.notify_one();
         }
-
-        if self.cfg.snapshot_every > 0 && flushes.is_multiple_of(self.cfg.snapshot_every) {
+        if flushes.is_multiple_of(SNAPSHOT_EVERY) {
             self.emit(self.snapshot_event());
         }
+        q
     }
 
     fn batch_fill(&self) -> f64 {
@@ -319,34 +282,6 @@ impl Shared {
     }
 }
 
-/// The batcher thread body: flush every batch that becomes ready without
-/// an admission (aged out, completed by a dropped handle, or stopping),
-/// otherwise sleep until the front request's deadline or a wake. The
-/// deadline is re-read after every wake, since a caller may have drained
-/// the queue meanwhile. Exits only once stopped *and* drained, so shutdown
-/// never strands a parked caller.
-fn batcher_loop(shared: Arc<Shared>) {
-    let cfg = &shared.cfg;
-    let mut q = shared.queue();
-    loop {
-        if q.ready(cfg) {
-            shared.flush_front(q);
-            q = shared.queue();
-            continue;
-        }
-        if q.pending.is_empty() && q.stopped {
-            return;
-        }
-        q = match q.deadline(cfg) {
-            Some(d) => {
-                let wait = d.saturating_duration_since(Instant::now());
-                shared.not_empty.wait_timeout(q, wait).expect(POISONED).0
-            }
-            None => shared.not_empty.wait(q).expect(POISONED),
-        };
-    }
-}
-
 /// Cloneable, thread-safe client of a running [`InferenceServer`].
 ///
 /// Implements [`CoveragePredictor`], so it plugs into everything that
@@ -386,81 +321,55 @@ impl Clone for ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         // Never panic in drop: a poisoned queue still counts handles.
-        self.shared.q.lock().unwrap_or_else(PoisonError::into_inner).handles -= 1;
-        // Requests waiting on this handle may now form a ready batch.
-        self.shared.not_empty.notify_one();
+        let mut q = self.shared.q.lock().unwrap_or_else(PoisonError::into_inner);
+        q.handles -= 1;
+        // Requests waiting on this handle may now form a ready batch: the
+        // caller of the front request flushes it.
+        if let Some(front) = q.pending.front().filter(|_| q.ready(&self.shared.cfg)) {
+            front.slot.ready.notify_one();
+        }
     }
 }
 
 impl CoveragePredictor for ServerHandle {
     fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        self.shared.requests.fetch_add(1, Ordering::Relaxed);
+        let shared = &*self.shared;
+        shared.requests.fetch_add(1, Ordering::Relaxed);
         if graphs.is_empty() {
             return Vec::new();
         }
-        let n = graphs.len();
         let slot = Arc::new(Slot::default());
         // Copy the graphs before touching the queue: the clone is the
         // expensive part of admission, and doing it under the mutex would
-        // serialize every caller (and the batcher's drain) behind it.
+        // serialize every caller (and every drain) behind it.
         let owned = graphs.to_vec();
-        let shared = &*self.shared;
         let mut q = shared.queue();
-        loop {
-            if q.stopped {
-                drop(q);
-                return shared.predict_inline(graphs);
-            }
-            // Admit when the request fits, or unconditionally when the
-            // queue is empty (an oversized request must not deadlock).
-            if q.pending_graphs + n <= shared.cfg.queue_cap || q.pending.is_empty() {
-                break;
-            }
-            match shared.cfg.overload {
-                OverloadPolicy::Block => {
-                    // A parked caller can send nothing else until a drain,
-                    // so it counts as queued; if that completes the batch,
-                    // flush it here instead of parking.
-                    q.parked += 1;
-                    if q.ready(&shared.cfg) {
-                        q.parked -= 1;
-                        shared.flush_front(q);
-                        q = shared.queue();
-                    } else {
-                        q = shared.not_full.wait(q).expect(POISONED);
-                        q.parked -= 1;
-                    }
-                }
-                OverloadPolicy::Shed => {
-                    drop(q);
-                    return shared.predict_inline(graphs);
-                }
-            }
+        if q.stopped {
+            drop(q);
+            return shared.predict_inline(graphs);
         }
-        q.pending.push_back(Request {
-            graphs: owned,
-            slot: slot.clone(),
-            enqueued: Instant::now(),
-        });
-        q.pending_graphs += n;
+        let enqueued = Instant::now();
+        q.pending.push_back(Request { graphs: owned, slot: slot.clone(), enqueued });
+        q.pending_graphs += graphs.len();
         shared.queue_depth_max.fetch_max(q.pending_graphs as u64, Ordering::Relaxed);
 
-        // The caller that completes a batch flushes it on its own thread.
-        while !slot.filled() && q.ready(&shared.cfg) {
-            shared.flush_front(q);
-            q = shared.queue();
+        // Flush every batch that is ready while this request is queued;
+        // otherwise wait until it is delivered, this request ages out, or
+        // a dropped handle hands over the front batch.
+        let my_deadline = deadline(enqueued, &shared.cfg);
+        loop {
+            if let Some(out) = slot.result.lock().expect(POISONED).take() {
+                return out;
+            }
+            q = if q.ready(&shared.cfg) {
+                shared.flush_front(q)
+            } else if let Some(d) = my_deadline {
+                let wait = d.saturating_duration_since(Instant::now());
+                slot.ready.wait_timeout(q, wait).expect(POISONED).0
+            } else {
+                slot.ready.wait(q).expect(POISONED)
+            };
         }
-        let queued = !q.pending.is_empty();
-        drop(q);
-        if queued {
-            shared.not_empty.notify_one();
-        }
-
-        let mut result = slot.result.lock().unwrap();
-        while result.is_none() {
-            result = slot.ready.wait(result).unwrap();
-        }
-        result.take().expect("checked Some")
     }
 
     fn stats(&self) -> PredictorStats {
@@ -495,10 +404,9 @@ impl CoveragePredictor for ServerHandle {
 }
 
 /// The long-lived inference server: owns the model behind a [`SwapCell`]
-/// and the batcher thread draining the request queue.
+/// and the request queue its handles flush.
 pub struct InferenceServer {
     shared: Arc<Shared>,
-    batcher: Option<std::thread::JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for InferenceServer {
@@ -516,8 +424,6 @@ impl InferenceServer {
             model: SwapCell::new(ModelEpoch::from_checkpoint(checkpoint, 0)),
             swap_serial: parking_lot::Mutex::new(()),
             q: Mutex::new(Queue::default()),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
             requests: AtomicU64::new(0),
             inferences: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
@@ -533,13 +439,8 @@ impl InferenceServer {
             model: checkpoint.name.clone(),
             max_batch: shared.cfg.max_batch as u64,
             max_wait_us: shared.cfg.max_wait_us,
-            queue_cap: shared.cfg.queue_cap as u64,
         });
-        let batcher = {
-            let shared = shared.clone();
-            std::thread::spawn(move || batcher_loop(shared))
-        };
-        Self { shared, batcher: Some(batcher) }
+        Self { shared }
     }
 
     /// A new client handle. Handles stay valid after `shutdown` (they fall
@@ -605,25 +506,22 @@ impl InferenceServer {
         SwapOutcome::Installed { epoch: epoch_no }
     }
 
-    /// Stop the batcher after draining every queued request (no prediction
-    /// is ever dropped), emit [`ServeEvent::Stopped`], and return the final
-    /// report. A flush already running on a caller's thread finishes there,
-    /// so the report counts every request that returned before `shutdown`
-    /// was called. Idempotent.
+    /// Stop serving: flush every queued request on this thread (no
+    /// prediction is ever dropped), emit [`ServeEvent::Stopped`], and return
+    /// the final report. A flush already running on a caller's thread
+    /// finishes there, so the report counts every request that returned
+    /// before `shutdown` was called. Idempotent.
     pub fn shutdown(&mut self) -> ServingReport {
-        let was_running = self.batcher.is_some();
-        {
-            let mut q = self.shared.queue();
-            q.stopped = true;
+        let shared = &*self.shared;
+        let mut q = shared.queue();
+        let was_running = !std::mem::replace(&mut q.stopped, true);
+        while !q.pending.is_empty() {
+            q = shared.flush_front(q);
         }
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        if let Some(h) = self.batcher.take() {
-            let _ = h.join();
-        }
-        let report = self.shared.report();
+        drop(q);
+        let report = shared.report();
         if was_running {
-            self.shared.emit(ServeEvent::Stopped {
+            shared.emit(ServeEvent::Stopped {
                 requests: report.requests,
                 graphs: report.graphs,
                 swaps: report.swaps,
@@ -635,8 +533,6 @@ impl InferenceServer {
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
-        if self.batcher.is_some() {
-            let _ = self.shutdown();
-        }
+        self.shutdown();
     }
 }

@@ -11,10 +11,10 @@ const BUCKETS: usize = 40;
 
 /// Fixed-size log2 histogram of per-request latencies in microseconds.
 ///
-/// Recording is a single relaxed atomic increment, so callers and the
-/// batcher can record concurrently without a lock. Percentiles are
-/// approximate (bucket upper bound), which is plenty for SLO accounting —
-/// the error is at most 2x, uniform across the distribution's tail.
+/// Recording is a single relaxed atomic increment, so concurrent flushes
+/// can record without a lock. Percentiles are approximate (bucket upper
+/// bound), which is plenty for SLO accounting — the error is at most 2x,
+/// uniform across the distribution's tail.
 pub struct LatencyHistogram {
     buckets: [AtomicU64; BUCKETS],
 }
@@ -81,10 +81,10 @@ pub struct ServingReport {
     pub requests: u64,
     /// Graphs predicted.
     pub graphs: u64,
-    /// Batches flushed, by callers and the batcher together.
+    /// Batches flushed, each on a caller's thread or by `shutdown`.
     pub flushes: u64,
-    /// Requests served inline because the queue was full (Shed policy) or
-    /// the server was stopping.
+    /// Requests predicted inline on the caller's thread, bypassing the
+    /// queue, because the server had shut down.
     pub shed: u64,
     /// High-water mark of queued graphs.
     pub queue_depth_max: u64,

@@ -1,6 +1,6 @@
 //! The serving contract: predictions that went through the inference
-//! server — any batching schedule, any worker count, any overload policy,
-//! any number of concurrent callers — are *bit-identical* to calling
+//! server — any batching schedule, any worker count, any number of
+//! concurrent callers — are *bit-identical* to calling
 //! `Pic::predict_batch` directly on the same model. Micro-batching is a
 //! throughput feature, never a behavioural one.
 
@@ -13,7 +13,7 @@ use snowcat_corpus::{StiFuzzer, StiProfile};
 use snowcat_graph::CtGraph;
 use snowcat_kernel::{generate, GenConfig, Kernel};
 use snowcat_nn::{Checkpoint, PicConfig, PicModel};
-use snowcat_serve::{InferenceServer, OverloadPolicy, ServeConfig};
+use snowcat_serve::{InferenceServer, ServeConfig};
 use snowcat_vm::propose_hints;
 use std::sync::OnceLock;
 
@@ -97,7 +97,6 @@ proptest! {
         max_batch in 1usize..12,
         wait_idx in 0usize..4,
         workers in 1usize..4,
-        shed in proptest::bool::ANY,
     ) {
         // `u64::MAX` disables the age trigger: every flush then comes from
         // the fill or the live-handle rule.
@@ -112,14 +111,7 @@ proptest! {
 
         let mut server = InferenceServer::start(
             &fx.checkpoint,
-            ServeConfig {
-                max_batch,
-                max_wait_us,
-                queue_cap: max_batch.max(4),
-                overload: if shed { OverloadPolicy::Shed } else { OverloadPolicy::Block },
-                workers,
-                ..ServeConfig::default()
-            },
+            ServeConfig { max_batch, max_wait_us, workers },
             None,
         );
         // Fire every request from its own thread so flushes genuinely
@@ -154,13 +146,13 @@ proptest! {
     }
 }
 
-/// A Block-policy server whose age trigger never fires
-/// (`max_wait_us: u64::MAX`): only the fill and live-handle rules flush,
-/// so the tests below hang, rather than pass late, if the rule is broken.
-fn server_without_deadline(max_batch: usize, queue_cap: usize) -> InferenceServer {
+/// A server whose age trigger never fires (`max_wait_us: u64::MAX`): only
+/// the fill and live-handle rules flush, so the tests below hang, rather
+/// than pass late, if the rule is broken.
+fn server_without_deadline(max_batch: usize) -> InferenceServer {
     InferenceServer::start(
         &fixture().checkpoint,
-        ServeConfig { max_batch, queue_cap, max_wait_us: u64::MAX, ..ServeConfig::default() },
+        ServeConfig { max_batch, max_wait_us: u64::MAX, ..ServeConfig::default() },
         None,
     )
 }
@@ -170,7 +162,7 @@ fn lone_handle_flushes_without_waiting() {
     let fx = fixture();
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
     let graphs = random_graphs(&pic, &fx.corpus, 11, 3);
-    let mut server = server_without_deadline(64, 256);
+    let mut server = server_without_deadline(64);
     let handle = server.handle();
     for req in [&graphs[..1], &graphs[1..]] {
         assert_bit_identical("lone handle", &pic.predict_batch(req), &handle.predict_batch(req));
@@ -184,7 +176,7 @@ fn every_live_handle_queued_flushes_once() {
     let fx = fixture();
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
     let graphs = random_graphs(&pic, &fx.corpus, 12, 2);
-    let mut server = server_without_deadline(64, 256);
+    let mut server = server_without_deadline(64);
     let (a, b) = (server.handle(), server.handle());
     std::thread::scope(|s| {
         for (h, req) in [(a, &graphs[..1]), (b, &graphs[1..])] {
@@ -203,10 +195,15 @@ fn dropping_a_handle_releases_queued_requests() {
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
     let graphs = random_graphs(&pic, &fx.corpus, 13, 1);
     let direct = pic.predict_batch(&graphs);
-    let mut server = server_without_deadline(64, 256);
+    let mut server = server_without_deadline(64);
     let (a, b) = (server.handle(), server.handle());
     std::thread::scope(|s| {
         s.spawn(|| assert_bit_identical("released", &direct, &a.predict_batch(&graphs)));
+        // Drop `b` only once `a`'s request is queued, so that the drop, not
+        // the admission, completes the live-handle count.
+        while server.report().queue_depth_max == 0 {
+            std::thread::yield_now();
+        }
         drop(b);
     });
     let report = server.shutdown();
@@ -214,25 +211,57 @@ fn dropping_a_handle_releases_queued_requests() {
 }
 
 #[test]
-fn parked_caller_counts_as_queued() {
+fn requests_that_overflow_one_batch_flush_whole_in_turn() {
     let fx = fixture();
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
     let graphs = random_graphs(&pic, &fx.corpus, 14, 6);
-    // Two 3-graph requests never fit a 4-graph queue together: the second
-    // caller parks, and must count as queued for the first to flush.
-    let mut server = server_without_deadline(4, 4);
+    // Two 3-graph requests never fit one 4-graph batch: whichever arrives
+    // second fills the queue and its caller flushes the first request
+    // alone; the second flushes next, once the first caller's dropped
+    // handle (or the live-handle rule) makes it ready.
+    let mut server = server_without_deadline(4);
     let (a, b) = (server.handle(), server.handle());
     std::thread::scope(|s| {
         for (h, req) in [(a, &graphs[..3]), (b, &graphs[3..])] {
             let direct = pic.predict_batch(req);
             s.spawn(move || {
-                assert_bit_identical("parked", &direct, &h.predict_batch(req));
+                assert_bit_identical("overflow", &direct, &h.predict_batch(req));
                 drop(h);
             });
         }
     });
     let report = server.shutdown();
     assert_eq!(report.graphs, 6);
+    assert_eq!(report.flushes, 2, "whole requests, one per flush");
+}
+
+#[test]
+fn request_held_by_an_idle_handle_flushes_on_its_own_thread_at_the_deadline() {
+    let fx = fixture();
+    let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
+    let graphs = random_graphs(&pic, &fx.corpus, 15, 2);
+    // `idle` stays live and never sends, so neither the fill nor the
+    // live-handle rule fires: only the request's own age does, and the
+    // server has no thread of its own to flush it.
+    let max_wait_us = 20_000;
+    let mut server = InferenceServer::start(
+        &fx.checkpoint,
+        ServeConfig { max_batch: 64, max_wait_us, ..ServeConfig::default() },
+        None,
+    );
+    let (sender, idle) = (server.handle(), server.handle());
+    let sent = std::time::Instant::now();
+    let served = sender.predict_batch(&graphs);
+    let waited = sent.elapsed();
+    assert_bit_identical("aged out", &pic.predict_batch(&graphs), &served);
+    assert!(
+        waited >= std::time::Duration::from_micros(max_wait_us),
+        "no trigger but age can flush the request: it returned after {waited:?}"
+    );
+    drop((sender, idle));
+    let report = server.shutdown();
+    assert_eq!(report.flushes, 1, "one flush, at the deadline");
+    assert_eq!(report.graphs, 2);
 }
 
 #[test]
@@ -252,10 +281,10 @@ fn oversized_request_flushes_alone_instead_of_deadlocking() {
     let fx = fixture();
     let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
     let graphs = random_graphs(&pic, &fx.corpus, 7, 9);
-    // queue_cap (after normalization) = max_batch = 2 < 9 graphs.
+    // 9 graphs > max_batch 2: the request flushes alone, whole.
     let mut server = InferenceServer::start(
         &fx.checkpoint,
-        ServeConfig { max_batch: 2, queue_cap: 1, max_wait_us: 10, ..ServeConfig::default() },
+        ServeConfig { max_batch: 2, max_wait_us: 10, ..ServeConfig::default() },
         None,
     );
     let served = server.handle().predict_batch(&graphs);

@@ -1,6 +1,6 @@
 //! Edge-case integration tests for the VM: cross-thread deadlock, the
-//! defensive step limit, reentrant locking through helper calls, and
-//! blocked-thread wakeup.
+//! defensive step limit and the fuel budget, reentrant locking through
+//! helper calls, and blocked-thread wakeup.
 
 use snowcat_kernel::gen::KernelBuilder;
 use snowcat_kernel::{CmpOp, Instr, Kernel, Reg, SyscallId, ThreadId};
@@ -128,6 +128,33 @@ fn infinite_loop_hits_step_limit() {
             .run(&mut snowcat_vm::SequentialScheduler);
     assert_eq!(r.exit, ExitReason::StepLimit);
     assert!(r.steps >= 500);
+}
+
+#[test]
+fn fuel_limited_run_stops_at_its_budget() {
+    let k = crafted_kernel();
+    let fuel = 500;
+    let r = run_ct(
+        &k,
+        &Cti::new(sti(2), sti(2)),
+        ScheduleHints::sequential(ThreadId(0)),
+        VmConfig::with_fuel(fuel),
+    );
+    assert!(r.hung(), "an infinite loop must exhaust its fuel, got {:?}", r.exit);
+    assert!(r.steps <= fuel, "the run must stop at the fuel budget, ran {} steps", r.steps);
+}
+
+#[test]
+fn generated_kernel_completes_under_the_default_fuel() {
+    use snowcat_kernel::{generate, GenConfig};
+    let k = generate(&GenConfig::default());
+    let r = run_ct(
+        &k,
+        &Cti::new(sti(0), sti(0)),
+        ScheduleHints::sequential(ThreadId(0)),
+        VmConfig::default(),
+    );
+    assert!(!r.hung(), "loop-free kernels never exhaust the default fuel, got {:?}", r.exit);
 }
 
 #[test]
