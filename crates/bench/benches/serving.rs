@@ -1,16 +1,13 @@
-//! Microbenchmark: the micro-batching inference server vs direct inference.
+//! Microbenchmark: the inference server vs direct inference.
 //!
-//! The serving layer promises "batching for free" in two regimes, each
+//! Every served request predicts on its caller's thread, so the server is
 //! held to at least 0.9x the throughput of predicting the same graphs
-//! directly through a `Pic`:
+//! directly through a `Pic`, in two regimes:
 //!
-//! * **saturated** — concurrent clients send half-batch requests fast
-//!   enough to fill every `max_batch`-sized flush, with tail latency under
-//!   the configured SLO;
-//! * **one caller** — one handle sends 1-graph requests at the
-//!   `campaign --serve` settings, the regime a served campaign runs in.
-//!   Every request completes its own batch and flushes on the caller's
-//!   thread, so the queue, the admission copy and the result split are all
+//! * **saturated** — concurrent clients send 16-graph requests back to
+//!   back, with tail latency under the bench's objective;
+//! * **one caller** — one handle sends 1-graph requests, the regime
+//!   `campaign --serve` runs in. The epoch lookup and the counters are all
 //!   the server is allowed to spend.
 //!
 //! The bench also times the atomic hot-swap (ungated, and gated through an
@@ -47,12 +44,9 @@ struct Report {
     requests: usize,
     request_size: usize,
     clients: usize,
-    max_batch: usize,
-    max_wait_us: u64,
     direct_graphs_per_s: f64,
     served_graphs_per_s: f64,
     served_over_direct: f64,
-    batch_fill_pct: f64,
     p50_us: u64,
     p99_us: u64,
     slo_p99_us: u64,
@@ -78,10 +72,6 @@ fn main() {
 
     let (n_requests, request_size, clients, reps) =
         if quick() { (16usize, 16usize, 2usize, 2u32) } else { (96, 16, 8, 5u32) };
-    // Requests are half a batch: a full flush coalesces two callers, so the
-    // bench exercises real micro-batching rather than one-request flushes.
-    let max_batch = 2 * request_size;
-    let max_wait_us = 200u64;
     // The bench's own tail-latency objective; the server does not read it.
     let slo_p99_us = 50_000u64;
 
@@ -91,13 +81,13 @@ fn main() {
     fz.seed_each_syscall();
     let corpus = fz.into_corpus();
     // The production model shape (PicConfig::default): the 0.9x acceptance
-    // bound is about the queue overhead relative to real inference cost,
-    // not a toy model where a condvar round-trip rivals the forward pass.
+    // bound is about the serving overhead relative to real inference cost,
+    // not a toy model whose forward pass costs next to nothing.
     let model = PicModel::new(PicConfig::default());
     let ck = Checkpoint::new(&model, 0.5, "bench");
     let pic = Pic::new(&ck, &k, &cfg);
 
-    // A fixed pool of candidate graphs, grouped into half-batch requests.
+    // A fixed pool of candidate graphs, grouped into requests.
     let mut rng = ChaCha8Rng::seed_from_u64(0x5E2E_BE4C);
     let requests: Vec<Vec<CtGraph>> = (0..n_requests)
         .map(|_| {
@@ -115,7 +105,7 @@ fn main() {
     let total_graphs: usize = requests.iter().map(Vec::len).sum();
 
     // Direct baseline: the same requests through Pic::predict_batch, no
-    // queue in the way. Best-of-reps to shed background noise.
+    // server in the way. Best-of-reps to shed background noise.
     let mut direct_s = f64::INFINITY;
     for _ in 0..=reps {
         let fresh = Pic::new(&ck, &k, &cfg);
@@ -126,16 +116,13 @@ fn main() {
         direct_s = direct_s.min(t0.elapsed().as_secs_f64());
     }
 
-    // Served: `clients` threads striping the same requests through a
-    // server. With enough callers in flight the queue keeps whole
-    // multiples of `max_batch` pending, so every flush coalesces two
-    // requests and leaves full — the regime the 0.9x acceptance bound
-    // targets. The serving counters come from the fastest repetition.
-    let serve_cfg = ServeConfig { max_batch, max_wait_us, ..ServeConfig::default() };
+    // Served: `clients` threads striping the same requests through one
+    // server, each predicting on its own thread. The serving counters come
+    // from the fastest repetition.
     let mut served_s = f64::INFINITY;
     let mut sreport = None;
     for _ in 0..=reps {
-        let mut server = InferenceServer::start(&ck, serve_cfg.clone(), None);
+        let mut server = InferenceServer::start(&ck, ServeConfig::default(), None);
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for c in 0..clients {
@@ -157,11 +144,10 @@ fn main() {
     }
     let sreport = sreport.expect("at least one served repetition");
 
-    // One caller, the regime `campaign --serve` runs in: the CLI's serving
-    // settings, one handle, 1-graph requests over the pool and then over it
-    // again, so the replay answers from the memo as a campaign's repeats
-    // do. A fresh `Pic` predicts the same sequence directly.
-    let one_cfg = ServeConfig { max_batch: 16, max_wait_us: 200, ..ServeConfig::default() };
+    // One caller, the regime `campaign --serve` runs in: one handle,
+    // 1-graph requests over the pool and then over it again, so the replay
+    // answers from the memo as a campaign's repeats do. A fresh `Pic`
+    // predicts the same sequence directly.
     let sequence: Vec<&CtGraph> = requests.iter().chain(&requests).flatten().collect();
     let (mut one_direct_s, mut one_served_s) = (f64::INFINITY, f64::INFINITY);
     let mut one_report = None;
@@ -173,7 +159,7 @@ fn main() {
         }
         one_direct_s = one_direct_s.min(t0.elapsed().as_secs_f64());
 
-        let mut server = InferenceServer::start(&ck, one_cfg.clone(), None);
+        let mut server = InferenceServer::start(&ck, ServeConfig::default(), None);
         let h = server.handle();
         let t0 = Instant::now();
         for g in &sequence {
@@ -192,7 +178,7 @@ fn main() {
     // AP validation pass over one request's graphs. Swapping the incumbent
     // checkpoint back in keeps validation AP identical, so the gated swap
     // always installs and the timing covers the full accept path.
-    let mut server = InferenceServer::start(&ck, serve_cfg, None);
+    let mut server = InferenceServer::start(&ck, ServeConfig::default(), None);
     let renamed = Checkpoint::new(&ck.restore(), ck.threshold, "bench-swap");
     let swap_reps = u64::from(reps).max(2);
     let t0 = Instant::now();
@@ -216,11 +202,8 @@ fn main() {
     let gated_swap_us = t0.elapsed().as_secs_f64() * 1e6 / swap_reps as f64;
 
     // After its first iteration every graph is a memo hit, so this row
-    // times one caller's trip through the queue, not inference. The
-    // handle is the server's only one, so each request completes its batch
-    // and flushes on the caller's thread: admission copy, drain and result
-    // split.
-    c.bench_function("served_half_batch_request_warm", |b| {
+    // times one caller's trip through the server, not inference.
+    c.bench_function("served_request_warm", |b| {
         let h = server.handle();
         b.iter(|| black_box(h.predict_batch(&requests[0])))
     });
@@ -231,12 +214,9 @@ fn main() {
         requests: n_requests,
         request_size,
         clients,
-        max_batch,
-        max_wait_us,
         direct_graphs_per_s: total_graphs as f64 / direct_s,
         served_graphs_per_s: total_graphs as f64 / served_s,
         served_over_direct: direct_s / served_s,
-        batch_fill_pct: sreport.batch_fill * 100.0,
         p50_us: sreport.p50_us,
         p99_us: sreport.p99_us,
         slo_p99_us,
@@ -247,11 +227,10 @@ fn main() {
         one_caller_p50_us: one_report.p50_us,
     };
     println!(
-        "direct {:.0} graphs/s, served {:.0} graphs/s ({:.2}x) at {:.0}% fill, {} clients",
+        "direct {:.0} graphs/s, served {:.0} graphs/s ({:.2}x), {} clients",
         report.direct_graphs_per_s,
         report.served_graphs_per_s,
         report.served_over_direct,
-        report.batch_fill_pct,
         report.clients,
     );
     println!(

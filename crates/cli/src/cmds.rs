@@ -18,11 +18,11 @@ use snowcat_events::{
 };
 use snowcat_harness::{
     clear_fleet_dir, load_checkpoint_with_fallback, load_fleet_checkpoint_with_fallback,
-    load_shards_quarantining_instrumented, load_train_checkpoint_with_fallback,
-    report_from_campaign_checkpoint, report_from_fleet_checkpoint, report_from_supervised,
-    report_from_train, report_from_train_checkpoint, robust_train, run_fleet,
-    run_supervised_campaign, FaultPlan, FleetCheckpoint, FleetConfig, RobustTrainConfig,
-    SupervisorConfig, ThreadWorker, TrainFaultPlan,
+    load_shards_quarantining, load_train_checkpoint_with_fallback, report_from_campaign_checkpoint,
+    report_from_fleet_checkpoint, report_from_supervised, report_from_train,
+    report_from_train_checkpoint, robust_train, run_fleet, run_supervised_campaign, FaultPlan,
+    FleetCheckpoint, FleetConfig, RobustTrainConfig, SupervisorConfig, ThreadWorker,
+    TrainFaultPlan,
 };
 use snowcat_kernel::{asm, Kernel, KernelVersion};
 use snowcat_nn::{Checkpoint, PicConfig, PicModel, TrainConfig};
@@ -265,8 +265,7 @@ pub fn train(args: &Args) -> CmdResult {
         Some(spec) => {
             let paths: Vec<std::path::PathBuf> =
                 spec.split(',').filter(|s| !s.is_empty()).map(std::path::PathBuf::from).collect();
-            let (merged, q) =
-                load_shards_quarantining_instrumented(&paths, &fault_plan, sink.as_ref());
+            let (merged, q) = load_shards_quarantining(&paths, &fault_plan, sink.as_ref());
             println!(
                 "loaded {}/{} shards ({} examples), {} quarantined",
                 q.loaded,
@@ -587,16 +586,6 @@ impl CampaignSetup {
     }
 }
 
-/// `--serve-batch/--serve-wait-us/--serve-workers`, the inference-server
-/// settings of `campaign --serve` and `fleet --serve`.
-fn serve_config(args: &Args) -> Result<ServeConfig, ArgError> {
-    Ok(ServeConfig {
-        max_batch: args.get_parse("serve-batch", 16usize)?,
-        max_wait_us: args.get_parse("serve-wait-us", 200u64)?,
-        workers: args.get_parse("serve-workers", 1usize)?,
-    })
-}
-
 /// A per-slot explorer factory for [`ThreadWorker`].
 type MakeExplorer<'a> = &'a (dyn Fn(usize) -> Explorer<'a, 'a> + Sync);
 
@@ -621,9 +610,6 @@ pub fn campaign(args: &Args) -> CmdResult {
         "events",
         "fail-on-hung",
         "serve",
-        "serve-batch",
-        "serve-wait-us",
-        "serve-workers",
         "refresh",
         "refresh-epochs",
         "refresh-max",
@@ -731,7 +717,7 @@ pub fn campaign(args: &Args) -> CmdResult {
 }
 
 /// `campaign --serve`: the same supervised MLPCT campaign, with inference
-/// routed through a live micro-batching server and (optionally) the online
+/// routed through a live inference server and (optionally) the online
 /// refresher fine-tuning on the campaign's own fresh CTs.
 fn served_campaign(
     args: &Args,
@@ -744,7 +730,6 @@ fn served_campaign(
     let ck = load_model(args)?;
     let kcfg = KernelCfg::build(k);
     let (seed, corpus) = (setup.seed, &setup.corpus);
-    let serve = serve_config(args)?;
     let min_pairs = args.get_parse("refresh", 0usize)?;
     let refresh = (min_pairs > 0).then_some(RefreshConfig {
         min_pairs,
@@ -784,21 +769,13 @@ fn served_campaign(
         &setup.cost,
         sup,
         &gate,
-        &ServedCampaignConfig { serve, strategy: kind, refresh, ..Default::default() },
+        &ServedCampaignConfig { serve: ServeConfig::default(), strategy: kind, refresh },
         resume,
     )?;
     let sv = &outcome.serving;
     println!(
-        "serving: {} requests, {} graphs, {} flushes ({:.0}% fill), {} shed, \
-         queue depth max {}, p50 {}us, p99 {}us",
-        sv.requests,
-        sv.graphs,
-        sv.flushes,
-        sv.batch_fill * 100.0,
-        sv.shed,
-        sv.queue_depth_max,
-        sv.p50_us,
-        sv.p99_us,
+        "serving: {} requests, {} graphs, {} shed, p50 {}us, p99 {}us",
+        sv.requests, sv.graphs, sv.shed, sv.p50_us, sv.p99_us
     );
     println!("serving model: {} (epoch {}, {} swaps installed)", sv.model_name, sv.epoch, sv.swaps);
     if let Some(r) = &outcome.refresh {
@@ -873,9 +850,6 @@ pub fn fleet(args: &Args) -> CmdResult {
         "report",
         "events",
         "serve",
-        "serve-batch",
-        "serve-wait-us",
-        "serve-workers",
     ])?;
     let k = build_kernel(args)?;
     let workers = args.get_parse("workers", 2usize)?;
@@ -959,8 +933,8 @@ pub fn fleet(args: &Args) -> CmdResult {
 
         // Every MLPCT worker slot gets its own Pic (graph builder + cache);
         // with --serve they all route inference through one shared
-        // micro-batching server instead of predicting inline.
-        let (ck, kcfg, pics, handles, pct, direct, served);
+        // inference server instead of predicting inline.
+        let (ck, kcfg, pics, handle, pct, direct, served);
         let mut server = None;
         let (label, make): (String, MakeExplorer) = match explorer_kind(args)? {
             None if serve => return Err("--serve requires an MLPCT explorer (s1|s2|s3)".into()),
@@ -974,11 +948,11 @@ pub fn fleet(args: &Args) -> CmdResult {
                 pics = (0..workers).map(|_| Pic::new(&ck, &k, &kcfg)).collect::<Vec<_>>();
                 let pics = &pics;
                 let make: MakeExplorer = if serve {
-                    let s = server.insert(InferenceServer::start(&ck, serve_config(args)?, sink));
-                    handles = (0..workers).map(|_| s.handle()).collect::<Vec<_>>();
-                    let handles = &handles;
+                    let s = InferenceServer::start(&ck, ServeConfig::default(), sink);
+                    handle = server.insert(s).handle();
+                    let handle = &handle;
                     served = move |slot: usize| Explorer::MlPct {
-                        service: PredictorService::with(&pics[slot], &handles[slot]),
+                        service: PredictorService::with(&pics[slot], handle),
                         strategy: kind.build(),
                     };
                     &served
@@ -1002,12 +976,8 @@ pub fn fleet(args: &Args) -> CmdResult {
         if let Some(mut server) = server {
             let sv = server.shutdown();
             println!(
-                "serving: {} requests, {} graphs, {} flushes ({:.0}% fill) shared by {} workers",
-                sv.requests,
-                sv.graphs,
-                sv.flushes,
-                sv.batch_fill * 100.0,
-                workers
+                "serving: {} requests, {} graphs shared by {} workers",
+                sv.requests, sv.graphs, workers
             );
         }
         Ok(fc)
@@ -1103,8 +1073,6 @@ pub fn serve(args: &Args) -> CmdResult {
         "requests",
         "request-size",
         "clients",
-        "batch",
-        "wait-us",
         "workers",
         "swap",
         "events",
@@ -1117,11 +1085,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let n_requests = args.get_parse("requests", 64usize)?.max(1);
     let req_size = args.get_parse("request-size", 4usize)?.max(1);
     let clients = args.get_parse("clients", 4usize)?.max(1);
-    let cfg = ServeConfig {
-        max_batch: args.get_parse("batch", 16usize)?,
-        max_wait_us: args.get_parse("wait-us", 200u64)?,
-        workers: args.get_parse("workers", 1usize)?,
-    };
+    let cfg = ServeConfig { workers: args.get_parse("workers", 1usize)?, ..ServeConfig::default() };
 
     // Deterministic workload: the same candidate CT graphs an explorer
     // would build for random CTI pairs and schedules.
@@ -1220,15 +1184,7 @@ pub fn serve(args: &Args) -> CmdResult {
         clients,
         direct_s / served_s.max(1e-9)
     );
-    println!(
-        "server : {} flushes ({:.0}% fill), {} shed, queue depth max {}, p50 {}us, p99 {}us",
-        report.flushes,
-        report.batch_fill * 100.0,
-        report.shed,
-        report.queue_depth_max,
-        report.p50_us,
-        report.p99_us,
-    );
+    println!("server : {} shed, p50 {}us, p99 {}us", report.shed, report.p50_us, report.p99_us);
     if let Some(path) = args.get("out") {
         std::fs::write(path, serde_json::to_string_pretty(&report)?)?;
         println!("serving report written to {path}");
@@ -1611,20 +1567,12 @@ fn print_human_status(view: &StatusView) {
         println!("serving {model} — {state}");
         if let Some((requests, graphs)) = serve_stopped {
             println!("  served   : {requests} requests, {graphs} graphs");
-        } else if let Some(ServeEvent::Snapshot {
-            requests,
-            graphs,
-            flushes,
-            batch_fill,
-            p50_us,
-            p99_us,
-            ..
-        }) = &serve_snapshot
+        } else if let Some(ServeEvent::Snapshot { requests, graphs, p50_us, p99_us, .. }) =
+            &serve_snapshot
         {
             println!(
-                "  served   : {requests} requests, {graphs} graphs, {flushes} flushes \
-                 ({:.0}% fill), p50 {p50_us}us, p99 {p99_us}us",
-                batch_fill * 100.0
+                "  served   : {requests} requests, {graphs} graphs, p50 {p50_us}us, \
+                 p99 {p99_us}us"
             );
         }
         println!(

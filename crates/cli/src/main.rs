@@ -11,7 +11,7 @@
 //! snowcat analyze  --version 5.12 [--seed N] [--out report.json] [--self-check]
 //!                  [--coarse] [--baseline OLD.json]
 //! snowcat campaign --version 5.12 [--explorer pct|s1|s2|s3] [--checkpoint F] [--resume F]
-//!                  [--serve] [--serve-batch N] [--serve-wait-us U] [--refresh N]
+//!                  [--serve] [--refresh N]
 //! snowcat fleet    --version 5.12 --dir DIR [--workers N] [--explorer pct|s1|s2|s3]
 //!                  [--resume] [--lease-ms MS] [--max-steals K] [--fault-plan SPEC]
 //! snowcat serve    --version 5.12 --model pic.bin [--requests N] [--clients C]
@@ -71,8 +71,7 @@ COMMANDS:
               [--fuel-budget STEPS] [--fault-plan SPEC] [--max-hours H]
               [--stall-ms MS] [--stop-after N] [--report FILE]
               [--events DIR] [--fail-on-hung]
-              [--serve] [--serve-batch N] [--serve-wait-us U] [--serve-workers W]
-              [--refresh PAIRS] [--refresh-epochs E] [--refresh-max R]
+              [--serve] [--refresh PAIRS] [--refresh-epochs E] [--refresh-max R]
               [--refresh-gate PAIRS]
   fleet     shard a supervised campaign across N workers with lease-based
             work stealing (a worker whose heartbeat misses its deadline is
@@ -94,15 +93,14 @@ COMMANDS:
               [--checkpoint-every K] [--fault-plan SPEC] [--stall-ms MS]
               [--transport thread|process] [--min-workers N]
               [--spawn-timeout-ms MS] [--respawn-backoff-ms MS]
-              [--report FILE] [--events DIR]
-              [--serve] [--serve-batch N] [--serve-wait-us U] [--serve-workers W]
-  serve     run the micro-batching inference server over a synthetic
-            request stream and report throughput/latency (predictions are
-            bit-identical to direct inference; --swap exercises the atomic
-            hot-swap path mid-stream)
+              [--report FILE] [--events DIR] [--serve]
+  serve     run the inference server over a synthetic request stream from
+            concurrent clients and report throughput/latency (each request
+            predicts on its client's thread, bit-identical to direct
+            inference; --workers fans a request out over W threads; --swap
+            exercises the atomic hot-swap path mid-stream)
               --version V --model FILE [--requests N] [--request-size K]
-              [--clients C] [--batch N] [--wait-us U] [--workers W]
-              [--swap] [--seed N]
+              [--clients C] [--workers W] [--swap] [--seed N]
               [--events DIR] [--out FILE]
   status    summarize a campaign/training directory: tail the structured
             event stream (events.jsonl) and the latest checkpoint into a

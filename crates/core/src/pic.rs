@@ -246,11 +246,10 @@ impl CoveragePredictor for Pic<'_> {
     }
 
     fn stats(&self) -> PredictorStats {
-        PredictorStats {
-            inferences: self.inferences.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            ..PredictorStats::default()
-        }
+        PredictorStats::of_inference_counts(
+            self.inferences.load(Ordering::Relaxed),
+            self.batches.load(Ordering::Relaxed),
+        )
     }
 
     fn fingerprint(&self) -> u64 {

@@ -71,19 +71,13 @@ pub fn graph_fingerprint(g: &CtGraph) -> u64 {
 ///
 /// The fields are private and the struct is `#[non_exhaustive]`: consumers
 /// read counters through accessors ([`batches`](Self::batches),
-/// [`inferences`](Self::inferences), …) and the serving wrapper merges its
-/// counters through [`add_serving`](Self::add_serving), so future exporters
-/// can add counters without breaking downstream code.
+/// [`inferences`](Self::inferences)), so future exporters can add counters
+/// without breaking downstream code.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PredictorStats {
     pub(crate) inferences: u64,
     pub(crate) batches: u64,
-    pub(crate) queue_depth_max: u64,
-    pub(crate) coalesced_graphs: u64,
-    pub(crate) server_flushes: u64,
-    pub(crate) flush_capacity: u64,
-    pub(crate) shed_requests: u64,
 }
 
 impl PredictorStats {
@@ -93,9 +87,9 @@ impl PredictorStats {
     }
 
     /// Snapshot of a leaf predictor: `inferences` graphs predicted over
-    /// `batches` batch calls, no serving activity.
+    /// `batches` batch calls.
     pub fn of_inference_counts(inferences: u64, batches: u64) -> Self {
-        PredictorStats { inferences, batches, ..Self::default() }
+        PredictorStats { inferences, batches }
     }
 
     /// Graphs the model predicted: the inference-budget count. Hits of the
@@ -107,54 +101,6 @@ impl PredictorStats {
     /// `predict_batch` calls on the outermost predictor.
     pub fn batches(&self) -> u64 {
         self.batches
-    }
-
-    /// Deepest the serving queue has been, in pending graphs (0 when no
-    /// inference server is in the chain).
-    pub fn queue_depth_max(&self) -> u64 {
-        self.queue_depth_max
-    }
-
-    /// Caller requests that bypassed the serving queue because the server
-    /// had shut down (predicted inline on the caller's thread instead).
-    pub fn shed_requests(&self) -> u64 {
-        self.shed_requests
-    }
-
-    /// Micro-batches flushed by an inference server.
-    pub fn server_flushes(&self) -> u64 {
-        self.server_flushes
-    }
-
-    /// Mean fill of the server's micro-batches: coalesced graphs over the
-    /// total `max_batch` capacity of every flush (0.0 when no server is in
-    /// the chain). 1.0 means every flush left at `max_batch`; low values
-    /// mean the latency deadline, not the batch size, drives flushes.
-    pub fn batch_fill(&self) -> f64 {
-        if self.flush_capacity == 0 {
-            0.0
-        } else {
-            self.coalesced_graphs as f64 / self.flush_capacity as f64
-        }
-    }
-
-    /// Merge serving-layer counters on top of the inner snapshot:
-    /// high-water queue depth (merged by max), graphs coalesced into
-    /// flushed micro-batches, flush count, the summed `max_batch` capacity
-    /// of those flushes, and shed requests.
-    pub fn add_serving(
-        &mut self,
-        queue_depth_max: u64,
-        coalesced_graphs: u64,
-        flushes: u64,
-        flush_capacity: u64,
-        shed: u64,
-    ) {
-        self.queue_depth_max = self.queue_depth_max.max(queue_depth_max);
-        self.coalesced_graphs += coalesced_graphs;
-        self.server_flushes += flushes;
-        self.flush_capacity += flush_capacity;
-        self.shed_requests += shed;
     }
 }
 
@@ -265,11 +211,10 @@ impl CoveragePredictor for BaselineService {
     }
 
     fn stats(&self) -> PredictorStats {
-        PredictorStats {
-            inferences: self.inferences.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            ..PredictorStats::default()
-        }
+        PredictorStats::of_inference_counts(
+            self.inferences.load(Ordering::Relaxed),
+            self.batches.load(Ordering::Relaxed),
+        )
     }
 
     fn fingerprint(&self) -> u64 {
@@ -486,20 +431,6 @@ mod tests {
         let mut tweaked = graphs[0].clone();
         tweaked.verts[0].tokens.push(7);
         assert_ne!(graph_fingerprint(&graphs[0]), graph_fingerprint(&tweaked));
-    }
-
-    #[test]
-    fn serving_stats_accessors_compose() {
-        let mut s = PredictorStats::of_inference_counts(10, 2);
-        assert_eq!(s.queue_depth_max(), 0);
-        assert_eq!(s.batch_fill(), 0.0, "no server in the chain");
-        s.add_serving(7, 24, 4, 32, 1);
-        s.add_serving(3, 8, 1, 8, 0);
-        assert_eq!(s.queue_depth_max(), 7, "high-water mark merges by max, not sum");
-        assert_eq!(s.server_flushes(), 5);
-        assert_eq!(s.shed_requests(), 1);
-        assert!((s.batch_fill() - 32.0 / 40.0).abs() < 1e-12);
-        assert_eq!(s.inferences(), 10, "serving counters leave inference counts alone");
     }
 
     #[test]

@@ -167,19 +167,15 @@ impl PerfettoBuilder {
                     vec![("loss", Value::Float(*loss))],
                 );
             }
-            // Serving saturation as a counter track, swaps as markers.
-            Event::Serve(ServeEvent::Snapshot { queue_depth_max, p99_us, batch_fill, .. }) => {
+            // Serving latency as a counter track, swaps as markers.
+            Event::Serve(ServeEvent::Snapshot { p99_us, .. }) => {
                 self.push_raw(
-                    "serve saturation".into(),
+                    "serve latency".into(),
                     "C",
                     t,
                     None,
                     0,
-                    vec![
-                        ("queue_depth_max", Value::UInt(*queue_depth_max)),
-                        ("p99_us", Value::UInt(*p99_us)),
-                        ("batch_fill", Value::Float(*batch_fill)),
-                    ],
+                    vec![("p99_us", Value::UInt(*p99_us))],
                 );
             }
             Event::Serve(ServeEvent::SwapInstalled { epoch, name, .. }) => {

@@ -92,37 +92,28 @@ pub enum TrainEvent {
     },
 }
 
-/// Events emitted by the inference server (`snowcat-serve`): micro-batch
-/// serving, online refresh, and atomic hot model swap.
+/// Events emitted by the inference server (`snowcat-serve`): serving
+/// counters, online refresh, and atomic hot model swap.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ServeEvent {
-    /// Server came up with its batching policy.
-    Started { model: String, max_batch: u64, max_wait_us: u64 },
-    /// Periodic cumulative serving counters (emitted on snapshot, not per
-    /// batch, so the stream stays proportional to campaign progress).
-    Snapshot {
-        requests: u64,
-        graphs: u64,
-        flushes: u64,
-        shed: u64,
-        queue_depth_max: u64,
-        batch_fill: f64,
-        p50_us: u64,
-        p99_us: u64,
-    },
+    /// Server came up serving `model`.
+    Started { model: String },
+    /// Periodic cumulative serving counters (emitted every 64 requests, not
+    /// per request, so the stream stays proportional to campaign progress).
+    Snapshot { requests: u64, graphs: u64, shed: u64, p50_us: u64, p99_us: u64 },
     /// An online-refresh fine-tune began on freshly executed CTs.
     RefreshStarted { ordinal: u64, examples: u64 },
     /// A refresh fine-tune produced a candidate model for the swap gate.
     CandidateReady { ordinal: u64, name: String, fingerprint: u64 },
-    /// A candidate was atomically installed (in-flight batches finished on
+    /// A candidate was atomically installed (in-flight requests finished on
     /// the previous weights).
     SwapInstalled { epoch: u64, name: String, fingerprint: u64 },
     /// The gate refused a candidate before install (e.g. non-finite weights).
     SwapRejected { epoch: u64, reason: String },
     /// The AP-regression gate fired after install: previous weights restored.
     SwapRolledBack { epoch: u64, candidate_ap: f64, incumbent_ap: f64 },
-    /// Server drained its queue and shut down.
+    /// Server shut down.
     Stopped { requests: u64, graphs: u64, swaps: u64 },
 }
 
@@ -243,15 +234,9 @@ impl TrainEvent {
 impl ServeEvent {
     /// See [`CampaignEvent::sanitized`].
     pub fn sanitized(mut self) -> Self {
-        match &mut self {
-            ServeEvent::Snapshot { batch_fill, .. } => {
-                *batch_fill = finite(*batch_fill);
-            }
-            ServeEvent::SwapRolledBack { candidate_ap, incumbent_ap, .. } => {
-                *candidate_ap = finite(*candidate_ap);
-                *incumbent_ap = finite(*incumbent_ap);
-            }
-            _ => {}
+        if let ServeEvent::SwapRolledBack { candidate_ap, incumbent_ap, .. } = &mut self {
+            *candidate_ap = finite(*candidate_ap);
+            *incumbent_ap = finite(*incumbent_ap);
         }
         self
     }

@@ -105,22 +105,13 @@ fn arb_serve() -> impl Strategy<Value = ServeEvent> {
     (
         0usize..8,
         arb_string(),
-        (0u64..1_000_000, 0u64..1_000_000, 0u64..1_000_000),
+        (0u64..1_000_000, 0u64..1_000_000),
         (0u64..64, 0u64..64, 0u64..10_000),
         0.0f64..1.0,
     )
-        .prop_map(|(variant, text, (a, b, c), (x, y, z), f)| match variant {
-            0 => ServeEvent::Started { model: text, max_batch: x, max_wait_us: z },
-            1 => ServeEvent::Snapshot {
-                requests: a,
-                graphs: b,
-                flushes: c,
-                shed: x,
-                queue_depth_max: y,
-                batch_fill: f,
-                p50_us: z,
-                p99_us: z * 3,
-            },
+        .prop_map(|(variant, text, (a, b), (x, y, z), f)| match variant {
+            0 => ServeEvent::Started { model: text },
+            1 => ServeEvent::Snapshot { requests: a, graphs: b, shed: x, p50_us: z, p99_us: z * 3 },
             2 => ServeEvent::RefreshStarted { ordinal: x, examples: b },
             3 => ServeEvent::CandidateReady { ordinal: x, name: text, fingerprint: a },
             4 => ServeEvent::SwapInstalled { epoch: x, name: text, fingerprint: a },
@@ -265,18 +256,11 @@ fn one_of_each() -> Vec<Event> {
             early_stopped: false,
             diverged: false,
         }),
-        Event::Serve(ServeEvent::Started {
-            model: "pic-5".into(),
-            max_batch: 16,
-            max_wait_us: 500,
-        }),
+        Event::Serve(ServeEvent::Started { model: "pic-5".into() }),
         Event::Serve(ServeEvent::Snapshot {
             requests: 90,
             graphs: 410,
-            flushes: 30,
             shed: 2,
-            queue_depth_max: 48,
-            batch_fill: 0.85,
             p50_us: 220,
             p99_us: 900,
         }),

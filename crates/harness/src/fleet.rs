@@ -437,7 +437,7 @@ pub struct ThreadWorker<'a> {
     pub cfg: &'a FleetConfig,
     /// Explorer factory, called once per lease with the worker slot.
     /// Workers sharing one inference server return explorers wrapping
-    /// per-worker handles here.
+    /// its handle here.
     pub make_explorer: &'a (dyn Fn(usize) -> Explorer<'a, 'a> + Sync),
 }
 

@@ -68,10 +68,10 @@ pub use reporting::{
 pub use supervisor::{run_supervised_campaign, RecoveryLog, SupervisedResult, SupervisorConfig};
 pub use trainer::{
     decode_train_checkpoint, encode_train_checkpoint, load_shards_quarantining,
-    load_shards_quarantining_instrumented, load_train_checkpoint_with_fallback, loss_diverged,
-    params_crc32, report_from_checkpoint, robust_train, save_train_checkpoint_atomic, AnomalyEvent,
-    QuarantineReport, RobustTrainConfig, ShardIssue, TrainCheckpoint, TrainEpochFault,
-    TrainFaultKind, TrainFaultPlan, TrainRunReport, TRAIN_CKPT_MAGIC, TRAIN_CKPT_VERSION,
+    load_train_checkpoint_with_fallback, loss_diverged, params_crc32, report_from_checkpoint,
+    robust_train, save_train_checkpoint_atomic, AnomalyEvent, QuarantineReport, RobustTrainConfig,
+    ShardIssue, TrainCheckpoint, TrainEpochFault, TrainFaultKind, TrainFaultPlan, TrainRunReport,
+    TRAIN_CKPT_MAGIC, TRAIN_CKPT_VERSION,
 };
 pub use transport::{
     read_frame, write_frame, WireAssignment, WireMsg, MAX_FRAME_LEN, WIRE_MAGIC, WIRE_VERSION,

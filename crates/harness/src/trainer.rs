@@ -779,17 +779,9 @@ pub struct QuarantineReport {
 /// checksum / decode, or fail structural validation (graph invariants,
 /// label alignment, token ranges) — instead of aborting the run. The fault
 /// plan's `shard@K` entries corrupt shard K's bytes between read and
-/// decode, emulating on-disk corruption deterministically.
+/// decode, emulating on-disk corruption deterministically. Each sidelined
+/// shard also emits a `ShardQuarantined` event to `events`, when given.
 pub fn load_shards_quarantining(
-    paths: &[PathBuf],
-    plan: &TrainFaultPlan,
-) -> (Dataset, QuarantineReport) {
-    load_shards_quarantining_instrumented(paths, plan, None)
-}
-
-/// [`load_shards_quarantining`] plus a `ShardQuarantined` event per
-/// sidelined shard.
-pub fn load_shards_quarantining_instrumented(
     paths: &[PathBuf],
     plan: &TrainFaultPlan,
     events: Option<&EventSink>,

@@ -158,7 +158,7 @@ fn corrupt_shards_are_quarantined_with_reasons_not_fatal() {
     all.push(missing);
 
     let plan = TrainFaultPlan::parse("shard@1:flip,shard@2:trunc").unwrap();
-    let (merged, report) = load_shards_quarantining(&all, &plan);
+    let (merged, report) = load_shards_quarantining(&all, &plan, None);
 
     assert_eq!(report.loaded, 1, "only the untouched shard 0 survives");
     assert_eq!(merged.len(), 4);
@@ -180,7 +180,7 @@ fn corrupt_shards_are_quarantined_with_reasons_not_fatal() {
     assert!(reason_of("shard4").contains("read failed"));
 
     // The empty plan loads everything that is well-formed.
-    let (_, clean) = load_shards_quarantining(&paths, &TrainFaultPlan::default());
+    let (_, clean) = load_shards_quarantining(&paths, &TrainFaultPlan::default(), None);
     assert_eq!(clean.loaded, 3);
     assert!(clean.quarantined.is_empty());
 }

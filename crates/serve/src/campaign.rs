@@ -27,28 +27,24 @@ use snowcat_kernel::Kernel;
 use snowcat_nn::Checkpoint;
 use std::sync::atomic::{AtomicBool, Ordering};
 
+/// Capacity of the fresh-CT feed between campaign and refresher (oldest
+/// pairs are dropped on overflow).
+const FEED_CAP: usize = 1024;
+
 /// How to serve a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedCampaignConfig {
-    /// Server tuning (batching, workers).
+    /// Server settings.
     pub serve: ServeConfig,
     /// MLPCT candidate-selection strategy.
     pub strategy: StrategyKind,
     /// Online refresh; `None` serves a frozen model.
     pub refresh: Option<RefreshConfig>,
-    /// Capacity of the fresh-CT feed between campaign and refresher
-    /// (oldest pairs are dropped on overflow).
-    pub feed_cap: usize,
 }
 
 impl Default for ServedCampaignConfig {
     fn default() -> Self {
-        Self {
-            serve: ServeConfig::default(),
-            strategy: StrategyKind::S1,
-            refresh: None,
-            feed_cap: 1024,
-        }
+        Self { serve: ServeConfig::default(), strategy: StrategyKind::S1, refresh: None }
     }
 }
 
@@ -67,9 +63,7 @@ pub struct ServedCampaignOutcome {
 ///
 /// Starts the server on `checkpoint`, wires every accepted execution's CT
 /// pair into a [`CtFeed`], runs the refresher (when configured) on a
-/// sibling thread, and shuts the server down after the campaign — the
-/// shutdown flushes every queued request first, so no prediction is lost
-/// at the boundary.
+/// sibling thread, and shuts the server down after the campaign.
 #[allow(clippy::too_many_arguments)]
 pub fn run_served_campaign(
     kernel: &Kernel,
@@ -88,7 +82,7 @@ pub fn run_served_campaign(
     let handle = server.handle();
     let pic = Pic::new(checkpoint, kernel, kcfg);
 
-    let feed = CtFeed::bounded(scfg.feed_cap.max(1));
+    let feed = CtFeed::bounded(FEED_CAP);
     let mut sup = sup.clone();
     if scfg.refresh.is_some() {
         sup.fresh_cts = Some(feed.clone());

@@ -4,21 +4,19 @@
 //! owned by one campaign. This crate turns it into a **long-lived
 //! in-process inference server** that many concurrent clients share:
 //!
-//! * [`InferenceServer`] owns the model behind an MPSC request queue with
-//!   **adaptive micro-batching** — a flush goes out when it fills
-//!   ([`ServeConfig::max_batch`]), when every live handle has a request
-//!   queued (no other request can arrive), or when the oldest request ages
-//!   out ([`ServeConfig::max_wait_us`]), whichever comes first. Every flush
-//!   runs on the thread of a caller that is waiting for a result, or of
-//!   `shutdown`; the server spawns no thread.
+//! * [`InferenceServer`] owns the model and the serving counters. Every
+//!   request predicts on its caller's thread against one model epoch: the
+//!   server holds no queue and spawns no thread, and a handle that never
+//!   sends delays nobody.
 //! * [`ServerHandle`] is the cloneable client. It implements
 //!   [`snowcat_core::CoveragePredictor`], so campaigns, worker pools and
 //!   benches plug in unchanged — and served results are **bit-identical**
-//!   to calling the model directly, for any batching schedule, because
-//!   per-graph inference never depends on batch composition.
+//!   to calling the model directly, because both run the same
+//!   [`snowcat_core::DeployedModel`] and per-graph inference never depends
+//!   on the request it arrived in.
 //! * [`SwapCell`] holds the served weights behind an arc-swap:
 //!   [`InferenceServer::try_swap`] installs a refreshed checkpoint
-//!   **atomically** (in-flight flushes finish on the epoch they hold),
+//!   **atomically** (in-flight requests finish on the epoch they hold),
 //!   guarded by [`Checkpoint::sanity_check`] up front and an
 //!   **AP-regression breaker** ([`ApGate`]) that rolls a degraded
 //!   candidate back to the incumbent weights.

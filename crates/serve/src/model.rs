@@ -1,21 +1,20 @@
 //! Owned model snapshots and the atomic hot-swap cell.
 //!
 //! The deployed [`snowcat_core::Pic`] borrows the kernel image for graph
-//! construction, which would tie a long-lived server thread to a stack
-//! frame. Serving therefore splits the two roles: graph building stays on
+//! construction, which would tie a long-lived server to a stack frame. Serving therefore splits the two roles: graph building stays on
 //! the campaign side (through [`snowcat_core::PredictorService`]), while the
 //! server owns a fully `'static` [`ModelEpoch`] — a
 //! [`snowcat_core::DeployedModel`] (restored weights, tuned threshold,
 //! prediction memo) and its fingerprint — behind a [`SwapCell`]. Each epoch
 //! starts with an empty memo, so no prediction crosses a swap.
 //!
-//! A swap replaces the `Arc<ModelEpoch>` under a write lock: flushes that
+//! A swap replaces the `Arc<ModelEpoch>` under a write lock: requests that
 //! already cloned the old `Arc` finish on the old weights, every later
-//! flush picks up the new ones, and nothing is ever predicted on a
+//! request picks up the new ones, and nothing is ever predicted on a
 //! half-written model. The previous epoch is retained so the AP-regression
 //! gate can roll a bad candidate back.
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use snowcat_core::{
     checkpoint_fingerprint, CoveragePredictor, DeployedModel, PredictedCoverage, PredictorStats,
 };
@@ -24,14 +23,14 @@ use snowcat_nn::{urb_average_precision, Checkpoint, LabeledGraph, PicModel};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// One immutable generation of the served model. Everything a flush needs
-/// to predict is owned here, so a flush holding an `Arc<ModelEpoch>` is
-/// unaffected by concurrent swaps.
+/// One immutable generation of the served model. Everything a request
+/// needs to predict is owned here, so a request holding an
+/// `Arc<ModelEpoch>` is unaffected by concurrent swaps.
 pub struct ModelEpoch {
     /// Restored weights and tuned threshold: the same memoizing forward
     /// pass a direct `Pic` runs. Per-graph output depends only on (weights,
-    /// graph), never on batch composition, which is what makes arbitrary
-    /// server-side coalescing bit-identical to a direct call.
+    /// graph), never on the request it arrived in, which is what makes a
+    /// served request bit-identical to a direct call.
     pub deployed: DeployedModel,
     /// Content fingerprint (same derivation as a direct `Pic` deployment,
     /// so a handle and the model it serves report the same value, and a
@@ -55,7 +54,7 @@ impl ModelEpoch {
     }
 }
 
-/// [`CoveragePredictor`] adapter over an epoch, used to fan a flush out
+/// [`CoveragePredictor`] adapter over an epoch, used to fan a request out
 /// through [`snowcat_core::ParallelPredictor`]. Counters live on the server
 /// (this adapter reports zeros so wrapper stats never double-count).
 pub struct EpochPredictor {
@@ -94,6 +93,8 @@ pub struct SwapCell {
     current: RwLock<Arc<ModelEpoch>>,
     /// The epoch displaced by the most recent install, kept for rollback.
     previous: Mutex<Option<Arc<ModelEpoch>>>,
+    /// Held across a whole swap transaction (see [`SwapCell::lock_swaps`]).
+    swaps: Mutex<()>,
     /// Next install's ordinal.
     next_epoch: AtomicU64,
     /// Successful installs (including ones later rolled back).
@@ -106,12 +107,13 @@ impl SwapCell {
         Self {
             current: RwLock::new(Arc::new(initial)),
             previous: Mutex::new(None),
+            swaps: Mutex::new(()),
             next_epoch: AtomicU64::new(1),
             installs: AtomicU64::new(0),
         }
     }
 
-    /// The epoch new flushes will use. In-flight flushes keep whatever
+    /// The epoch new requests will use. In-flight requests keep whatever
     /// `Arc` they already cloned.
     pub fn current(&self) -> Arc<ModelEpoch> {
         self.current.read().clone()
@@ -120,6 +122,13 @@ impl SwapCell {
     /// Installs so far (rollbacks do not subtract).
     pub fn installs(&self) -> u64 {
         self.installs.load(Ordering::Relaxed)
+    }
+
+    /// Serialize swap transactions: a caller holds the guard from claiming
+    /// an epoch through install, gate and rollback, so two swaps never
+    /// interleave.
+    pub(crate) fn lock_swaps(&self) -> MutexGuard<'_, ()> {
+        self.swaps.lock()
     }
 
     /// Claim the next epoch ordinal.

@@ -11,7 +11,7 @@ const BUCKETS: usize = 40;
 
 /// Fixed-size log2 histogram of per-request latencies in microseconds.
 ///
-/// Recording is a single relaxed atomic increment, so concurrent flushes
+/// Recording is a single relaxed atomic increment, so concurrent callers
 /// can record without a lock. Percentiles are approximate (bucket upper
 /// bound), which is plenty for SLO accounting — the error is at most 2x,
 /// uniform across the distribution's tail.
@@ -77,18 +77,20 @@ impl LatencyHistogram {
 /// benches, and the CLI (hence `Serialize`).
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct ServingReport {
-    /// Requests admitted (including shed ones).
+    /// Requests received (including shed ones).
     pub requests: u64,
     /// Graphs predicted.
     pub graphs: u64,
-    /// Batches flushed, each on a caller's thread or by `shutdown`.
+    /// Prediction calls: one per non-empty request, each on its caller's
+    /// thread.
     pub flushes: u64,
-    /// Requests predicted inline on the caller's thread, bypassing the
-    /// queue, because the server had shut down.
+    /// Requests predicted after the server had shut down.
     pub shed: u64,
-    /// High-water mark of queued graphs.
+    /// Always 0: requests are never queued. Kept so that existing readers
+    /// still compile.
     pub queue_depth_max: u64,
-    /// Mean flush fill ratio: coalesced graphs / (flushes * max_batch).
+    /// Always 0.0: requests are never coalesced. Kept so that existing
+    /// readers still compile.
     pub batch_fill: f64,
     /// Median per-request latency, microseconds (bucket upper bound).
     pub p50_us: u64,

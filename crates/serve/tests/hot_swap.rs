@@ -92,7 +92,7 @@ fn gate_favoring(model: &PicModel, graphs: &[CtGraph], tolerance: f64) -> ApGate
 }
 
 /// Requests racing with swaps: every request's result must be *entirely*
-/// model A's output or *entirely* model B's — a flush predicts on exactly
+/// model A's output or *entirely* model B's — a request predicts on exactly
 /// one epoch, so a caller can never observe a torn mix — and every request
 /// is answered exactly once.
 #[test]
@@ -110,11 +110,7 @@ fn swap_mid_stream_never_tears_or_drops_a_request() {
     let direct_b: Vec<Vec<PredictedCoverage>> =
         requests.iter().map(|r| pic_b.predict_batch(r)).collect();
 
-    let mut server = InferenceServer::start(
-        &fx.ck_a,
-        ServeConfig { max_batch: 6, max_wait_us: 30, ..ServeConfig::default() },
-        None,
-    );
+    let mut server = InferenceServer::start(&fx.ck_a, ServeConfig::default(), None);
     let gate = ApGate::disabled();
     let stop = AtomicBool::new(false);
 

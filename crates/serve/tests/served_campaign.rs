@@ -62,10 +62,9 @@ fn served_campaign_without_refresh_is_bit_identical_to_direct() -> Result<(), Sn
         &sup,
         &ApGate::disabled(),
         &ServedCampaignConfig {
-            serve: ServeConfig { max_batch: 8, max_wait_us: 50, ..ServeConfig::default() },
+            serve: ServeConfig::default(),
             strategy: StrategyKind::S1,
             refresh: None,
-            ..ServedCampaignConfig::default()
         },
         None,
     )?;
@@ -77,7 +76,11 @@ fn served_campaign_without_refresh_is_bit_identical_to_direct() -> Result<(), Sn
     assert_eq!(served.serving.swaps, 0, "frozen model: no swap ever happens");
     assert!(served.serving.graphs > 0, "inference actually went through the server");
     let stats = served.result.predictor_stats.expect("MLPCT records predictor stats");
-    assert!(stats.server_flushes() > 0, "serving counters flow into campaign stats");
+    assert_eq!(
+        stats.inferences(),
+        served.serving.graphs,
+        "every campaign inference went through the server"
+    );
     Ok(())
 }
 
@@ -100,7 +103,7 @@ fn served_campaign_with_refresh_consumes_fresh_cts() -> Result<(), SnowcatError>
         &sup,
         &ApGate::disabled(),
         &ServedCampaignConfig {
-            serve: ServeConfig { max_batch: 8, max_wait_us: 50, ..ServeConfig::default() },
+            serve: ServeConfig::default(),
             strategy: StrategyKind::S1,
             refresh: Some(RefreshConfig {
                 min_pairs: 2,
@@ -111,7 +114,6 @@ fn served_campaign_with_refresh_consumes_fresh_cts() -> Result<(), SnowcatError>
                 poll_ms: 1,
                 ..RefreshConfig::default()
             }),
-            ..ServedCampaignConfig::default()
         },
         None,
     )?;
