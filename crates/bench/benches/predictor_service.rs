@@ -1,10 +1,7 @@
-//! Microbenchmark: the predictor service — serial vs parallel batched
-//! inference over a 64-candidate pool, and the deployed model's memo on a
-//! repeated-CTI stream.
+//! Microbenchmark: the predictor service — batched inference over a
+//! 64-candidate pool, cold and against a warm memo.
 //!
-//! The parallel/serial pair quantifies the ParallelPredictor speedup (the
-//! wrapper is bit-identical to serial inference, so any gap is pure win);
-//! each of their iterations deploys a fresh `Pic`, whose memo would
+//! Each iteration of the serial row deploys a fresh `Pic`, whose memo would
 //! otherwise answer every repeat of the pool. The warm row shows what the
 //! memo buys when the exploration loop re-proposes schedules it has
 //! already scored. Forward passes and inferences are printed alongside the
@@ -14,7 +11,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_cfg::KernelCfg;
-use snowcat_core::{CoveragePredictor, ParallelPredictor, Pic};
+use snowcat_core::{CoveragePredictor, Pic};
 use snowcat_corpus::StiFuzzer;
 use snowcat_graph::CtGraph;
 use snowcat_kernel::{generate, GenConfig};
@@ -48,14 +45,6 @@ fn bench_service(c: &mut Criterion) {
 
     let fresh = || Pic::new(&checkpoint, &kernel, &cfg);
     c.bench_function("predict_batch_64_serial", |bch| bch.iter(|| fresh().predict_batch(&pool)));
-
-    // At least two workers so the scoped pool + work stealing is always the
-    // measured path (on a single-core host this shows the coordination
-    // overhead; on multi-core hosts, the speedup).
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4).clamp(2, 8);
-    c.bench_function(&format!("predict_batch_64_parallel_x{workers}"), |bch| {
-        bch.iter(|| ParallelPredictor::new(fresh(), workers).predict_batch(&pool))
-    });
 
     // Repeated-CTI stream: the same 64 candidates replayed each iteration.
     // After the first (cold) batch every request is a memo hit, so the

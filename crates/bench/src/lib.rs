@@ -147,20 +147,17 @@ pub fn cached_pic(
         &pcfg.train,
         pcfg.seed,
     );
-    let path = std::path::Path::new("results/cache").join(format!("{key}.json"));
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok(ck) = snowcat_nn::Checkpoint::from_json(&text) {
-            println!("(loaded cached checkpoint {})", path.display());
-            return (data.corpus, ck);
-        }
+    let path = std::path::Path::new("results/cache").join(format!("{key}.scmc"));
+    if let Ok(ck) = snowcat_core::load_checkpoint(&path) {
+        println!("(loaded cached checkpoint {})", path.display());
+        return (data.corpus, ck);
     }
     let (checkpoint, _) =
         snowcat_core::train_on(kernel, &data, pcfg.model, pcfg.train, pcfg.seed, name);
-    if std::fs::create_dir_all("results/cache").is_ok() {
-        if let Ok(json) = checkpoint.to_json() {
-            let _ = std::fs::write(&path, json);
-            println!("(cached checkpoint at {})", path.display());
-        }
+    if std::fs::create_dir_all("results/cache").is_ok()
+        && snowcat_core::save_checkpoint(&path, &checkpoint).is_ok()
+    {
+        println!("(cached checkpoint at {})", path.display());
     }
     (data.corpus, checkpoint)
 }

@@ -426,6 +426,7 @@ pub fn explore(args: &Args) -> CmdResult {
         CampaignSetup::from_args(args, &k, 50)?;
     let explore_cfg = explore_cfg.with_inference_cap(1600);
     let budget = explore_cfg.exec_budget;
+    let cost = CostModel::default();
     let pic = Pic::new(&ck, &k, &cfg);
     let service = PredictorService::direct(&pic);
     let mut strat = S1NewBitmap::new();
@@ -446,11 +447,11 @@ pub fn explore(args: &Args) -> CmdResult {
     println!("over {} CTIs with budget {}:", ctis.len(), budget);
     println!(
         "  PCT      : {pct_r} races, {pct_e} executions         (sim {:.0}s)",
-        pct_e as f64 * 2.8
+        cost.seconds(pct_e, 0)
     );
     println!(
         "  MLPCT-S1 : {ml_r} races, {ml_e} executions, {ml_i} inferences (sim {:.0}s)",
-        ml_e as f64 * 2.8 + ml_i as f64 * 0.015
+        cost.seconds(ml_e, ml_i)
     );
     println!(
         "  predictor: {}, {} graphs predicted, {} forward passes",
@@ -485,6 +486,7 @@ pub fn razzer(args: &Args) -> CmdResult {
     let ck = load_model(args)?;
     let seed = args.get_parse("seed", DEFAULT_SEED)?;
     let schedules = args.get_parse("schedules", 200usize)?;
+    let exec_seconds = CostModel::default().exec_seconds;
     let (sink, writer) = spawn_event_writer(args)?;
 
     let mut fz = StiFuzzer::new(&k, seed ^ 0x4a22);
@@ -520,7 +522,8 @@ pub fn razzer(args: &Args) -> CmdResult {
             } else {
                 find_candidates(&k, &cfg, &corpus, bug, mode, svc_ref, seed)
             };
-            let res = reproduce(&k, &corpus, &cands, bug, mode, schedules, 2.8, seed ^ 0xF);
+            let res =
+                reproduce(&k, &corpus, &cands, bug, mode, schedules, exec_seconds, seed ^ 0xF);
             match res.avg_hours {
                 Some(h) => println!(
                     "  {:<13} {:>4} candidates, {:>3} TPs, avg {h:.2} sim h",
@@ -1073,7 +1076,6 @@ pub fn serve(args: &Args) -> CmdResult {
         "requests",
         "request-size",
         "clients",
-        "workers",
         "swap",
         "events",
         "out",
@@ -1085,7 +1087,6 @@ pub fn serve(args: &Args) -> CmdResult {
     let n_requests = args.get_parse("requests", 64usize)?.max(1);
     let req_size = args.get_parse("request-size", 4usize)?.max(1);
     let clients = args.get_parse("clients", 4usize)?.max(1);
-    let cfg = ServeConfig { workers: args.get_parse("workers", 1usize)?, ..ServeConfig::default() };
 
     // Deterministic workload: the same candidate CT graphs an explorer
     // would build for random CTI pairs and schedules.
@@ -1116,7 +1117,7 @@ pub fn serve(args: &Args) -> CmdResult {
     let direct_s = t0.elapsed().as_secs_f64();
 
     let (sink, writer) = spawn_event_writer(args)?;
-    let mut server = InferenceServer::start(&ck, cfg, sink);
+    let mut server = InferenceServer::start(&ck, ServeConfig::default(), sink);
     let t1 = std::time::Instant::now();
     let served: Vec<Vec<_>> = std::thread::scope(|s| {
         let server = &server;

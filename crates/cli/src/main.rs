@@ -97,11 +97,10 @@ COMMANDS:
   serve     run the inference server over a synthetic request stream from
             concurrent clients and report throughput/latency (each request
             predicts on its client's thread, bit-identical to direct
-            inference; --workers fans a request out over W threads; --swap
-            exercises the atomic hot-swap path mid-stream)
+            inference; --swap exercises the atomic hot-swap path
+            mid-stream)
               --version V --model FILE [--requests N] [--request-size K]
-              [--clients C] [--workers W] [--swap] [--seed N]
-              [--events DIR] [--out FILE]
+              [--clients C] [--swap] [--seed N] [--events DIR] [--out FILE]
   status    summarize a campaign/training directory: tail the structured
             event stream (events.jsonl) and the latest checkpoint into a
             one-screen progress report

@@ -7,7 +7,7 @@
 //! panicking on a missing or corrupt file.
 
 use snowcat_corpus::{
-    decode_dataset, encode_dataset, frame_checksummed, unframe_checksummed, Dataset,
+    decode_dataset, encode_dataset, frame_checksummed, unframe_checksummed, Dataset, DecodeError,
 };
 use snowcat_nn::Checkpoint;
 use std::fmt;
@@ -232,42 +232,34 @@ pub fn decode_model_checkpoint_framed(
         MODEL_VERSION,
         bytes::Bytes::from(bytes.to_vec()),
     )
-    .map_err(|e| corrupt(e.to_string()))?;
+    .map_err(|e| match e {
+        DecodeError::BadMagic => corrupt("not an SCMC model (a JSON export does not load)".into()),
+        e => corrupt(e.to_string()),
+    })?;
     snowcat_nn::decode_model_checkpoint(payload.as_slice())
         .map_err(|e| corrupt(format!("payload is not a model checkpoint: {e}")))
 }
 
-/// Load a PIC checkpoint: the binary SCMC format, or legacy JSON (sniffed
-/// from the leading byte so pre-existing checkpoints and `--export-json`
-/// output both load).
+/// Load a PIC checkpoint from its binary SCMC file, the one format models
+/// load from. Anything else, a [`save_checkpoint_json`] export included, is
+/// [`SnowcatError::CheckpointCorrupt`].
 pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, SnowcatError> {
     let bytes =
         std::fs::read(path).map_err(|source| SnowcatError::Io { path: path.to_owned(), source })?;
-    let looks_json = bytes.iter().find(|b| !b.is_ascii_whitespace()) == Some(&b'{');
-    if looks_json {
-        let text = std::str::from_utf8(&bytes).map_err(|e| SnowcatError::Parse {
-            path: path.to_owned(),
-            message: format!("not UTF-8 JSON: {e}"),
-        })?;
-        Checkpoint::from_json(text).map_err(|e| SnowcatError::Parse {
-            path: path.to_owned(),
-            message: format!("not a PIC checkpoint: {e}"),
-        })
-    } else {
-        decode_model_checkpoint_framed(path, &bytes)
-    }
+    decode_model_checkpoint_framed(path, &bytes)
 }
 
 /// Save a PIC checkpoint in the binary SCMC format (bit-exact floats,
-/// CRC-protected). Use [`save_checkpoint_json`] for an inspectable export.
+/// CRC-protected). Use [`save_checkpoint_json`] for an inspectable,
+/// write-only export.
 pub fn save_checkpoint(path: &Path, ck: &Checkpoint) -> Result<(), SnowcatError> {
     std::fs::write(path, encode_model_checkpoint_framed(ck))
         .map_err(|source| SnowcatError::Io { path: path.to_owned(), source })
 }
 
-/// Save a PIC checkpoint as JSON for human inspection. JSON is *lossy* for
-/// non-finite floats (they serialize as null) — the binary format is the
-/// authoritative one.
+/// Save a PIC checkpoint as JSON for human inspection. The export is
+/// write-only ([`load_checkpoint`] reads SCMC alone) and *lossy* for
+/// non-finite floats (they serialize as null).
 pub fn save_checkpoint_json(path: &Path, ck: &Checkpoint) -> Result<(), SnowcatError> {
     let json = ck.to_json().map_err(|e| SnowcatError::Parse {
         path: path.to_owned(),
@@ -342,11 +334,11 @@ mod tests {
         let bad = dir.join("bad.json");
         std::fs::write(&bad, "{\"not\": \"a checkpoint\"}").unwrap();
         let parse = load_checkpoint(&bad);
-        assert!(matches!(parse, Err(SnowcatError::Parse { .. })));
+        assert!(matches!(parse, Err(SnowcatError::CheckpointCorrupt { .. })));
     }
 
     #[test]
-    fn model_checkpoint_binary_is_authoritative_and_json_still_loads() {
+    fn model_checkpoint_binary_is_authoritative_and_json_exports_do_not_load() {
         let dir = std::env::temp_dir().join("snowcat-error-tests-scmc");
         std::fs::create_dir_all(&dir).unwrap();
         let model = PicModel::new(PicConfig { hidden: 4, layers: 1, ..Default::default() });
@@ -359,10 +351,16 @@ mod tests {
         assert_eq!(&raw[..4], MODEL_MAGIC, "file leads with the SCMC magic");
         assert_eq!(load_checkpoint(&bin).unwrap(), ck);
 
-        // Legacy / exported JSON loads through the same entry point.
+        // A JSON export is write-only: loading it is a typed error that
+        // names the file.
         let json = dir.join("ck.json");
         save_checkpoint_json(&json, &ck).unwrap();
-        assert_eq!(load_checkpoint(&json).unwrap(), ck);
+        match load_checkpoint(&json) {
+            Err(err @ SnowcatError::CheckpointCorrupt { .. }) => {
+                assert!(err.to_string().contains("ck.json"), "error names the path: {err}");
+            }
+            other => panic!("a JSON export must not load, got {other:?}"),
+        }
 
         // A flipped byte is detected by the CRC, not deserialized.
         let mut bad = raw.clone();

@@ -20,8 +20,8 @@
 //!   analytic filter economics,
 //! * [`pipeline`] — end-to-end data collection + training + tuning,
 //! * [`predictor`] — the unified [`predictor::CoveragePredictor`] service:
-//!   batched inference, Table-1 baselines, a parallel worker-pool wrapper
-//!   and the [`predictor::PredictorService`] bundle,
+//!   batched inference, Table-1 baselines and the
+//!   [`predictor::PredictorService`] bundle,
 //! * [`error`] — [`error::SnowcatError`] and checkpoint/dataset I/O helpers.
 
 #![forbid(unsafe_code)]
@@ -54,8 +54,7 @@ pub use pipeline::{
     train_on_with_flows, train_pic, CollectedData, PipelineConfig, PipelineOutput, PipelineSummary,
 };
 pub use predictor::{
-    graph_fingerprint, BaselineService, CoveragePredictor, FlowPredictor, ParallelPredictor,
-    PredictorService, PredictorStats,
+    graph_fingerprint, BaselineService, CoveragePredictor, PredictorService, PredictorStats,
 };
 pub use prefilter::RacePrefilter;
 pub use razzer::{

@@ -6,10 +6,10 @@
 //! which [`Pic`] implements on top of a [`DeployedModel`]; this module keeps
 //! the graph-construction side (base graphs, schedule overlays), the
 //! memoizing forward pass and the prediction result type.
+//! [`DeployedModel::predict`] is the one prediction path: a direct `Pic` and
+//! every served request call it on the thread that asks.
 
-use crate::predictor::{
-    fnv1a, graph_fingerprint, CoveragePredictor, FlowPredictor, PredictorStats,
-};
+use crate::predictor::{fnv1a, graph_fingerprint, CoveragePredictor, PredictorStats};
 use parking_lot::Mutex;
 use snowcat_cfg::KernelCfg;
 use snowcat_corpus::StiProfile;
@@ -75,6 +75,8 @@ impl PredictedCoverage {
 pub struct DeployedModel {
     model: PicModel,
     threshold: f32,
+    fingerprint: u64,
+    name: String,
     memo: Mutex<HashMap<u64, Vec<f32>>>,
     forward_passes: AtomicU64,
 }
@@ -85,9 +87,23 @@ impl DeployedModel {
         Self {
             model: checkpoint.restore(),
             threshold: checkpoint.threshold,
+            fingerprint: checkpoint_fingerprint(checkpoint),
+            name: checkpoint.name.clone(),
             memo: Mutex::new(HashMap::new()),
             forward_passes: AtomicU64::new(0),
         }
+    }
+
+    /// The checkpoint's [`checkpoint_fingerprint`]: deployments of the same
+    /// trained model agree, so a served epoch and a direct `Pic` of one
+    /// checkpoint report the same value.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The checkpoint's provenance name ("PIC-5").
+    pub fn name(&self) -> &str {
+        &self.name
     }
 
     /// The restored model (read-only).
@@ -155,12 +171,10 @@ pub struct Pic<'k> {
     deployed: DeployedModel,
     builder: CtGraphBuilder<'k>,
     /// Graphs predicted, memo hits included: the inference-budget count
-    /// (§5.3.1 caps it at 1,600 per CTI). Atomic so shared references can
-    /// predict concurrently (see [`crate::predictor::ParallelPredictor`]).
+    /// (§5.3.1 caps it at 1,600 per CTI). Atomic so threads sharing one
+    /// `Pic` can predict concurrently.
     inferences: AtomicU64,
     batches: AtomicU64,
-    fingerprint: u64,
-    name: String,
 }
 
 impl<'k> Pic<'k> {
@@ -171,8 +185,6 @@ impl<'k> Pic<'k> {
             builder: CtGraphBuilder::new(kernel, cfg),
             inferences: AtomicU64::new(0),
             batches: AtomicU64::new(0),
-            fingerprint: checkpoint_fingerprint(checkpoint),
-            name: checkpoint.name.clone(),
         }
     }
 
@@ -214,11 +226,6 @@ impl<'k> Pic<'k> {
         self.deployed.forward_passes()
     }
 
-    /// Access the underlying graph builder.
-    pub fn builder(&self) -> &CtGraphBuilder<'k> {
-        &self.builder
-    }
-
     /// Build the schedule-independent base graph of a CTI (reused across
     /// interleaving candidates).
     pub fn base_graph(&self, a: &StiProfile, b: &StiProfile) -> CtGraph {
@@ -235,6 +242,21 @@ impl<'k> Pic<'k> {
         hints: &ScheduleHints,
     ) -> CtGraph {
         self.builder.with_schedule(base, &a.seq, &b.seq, hints)
+    }
+
+    /// Predict coverage *and* per-edge inter-thread-flow probabilities
+    /// (§6), counted as one graph in one batch like
+    /// [`CoveragePredictor::predict_one`]. Only meaningful on models trained
+    /// on flow examples ([`snowcat_nn::FlowLabeledGraph`]); the flow scores
+    /// are aligned with `graph.edges` (0.0 on non-InterFlow edges). Runs the
+    /// caching forward pass the flow head reads, so it bypasses the memo.
+    pub fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>) {
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.inferences.fetch_add(1, Ordering::Relaxed);
+        let model = self.deployed.model();
+        let (probs, cache) = model.forward_cached(graph);
+        let flows = model.forward_flows(graph, &cache);
+        (self.deployed.coverage(graph, probs), flows)
     }
 }
 
@@ -253,22 +275,11 @@ impl CoveragePredictor for Pic<'_> {
     }
 
     fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.deployed.fingerprint()
     }
 
     fn name(&self) -> String {
-        self.name.clone()
-    }
-}
-
-impl FlowPredictor for Pic<'_> {
-    fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.inferences.fetch_add(1, Ordering::Relaxed);
-        let model = self.deployed.model();
-        let (probs, cache) = model.forward_cached(graph);
-        let flows = model.forward_flows(graph, &cache);
-        (self.deployed.coverage(graph, probs), flows)
+        self.deployed.name().to_owned()
     }
 }
 

@@ -13,14 +13,14 @@
 //! * [`crate::pic::Pic`] — the trained GNN + tuned threshold,
 //! * [`BaselineService`] — the Table-1 baselines (all-positive, fair coin,
 //!   biased coin), deterministic per graph,
-//! * [`ParallelPredictor`] — fans a batch out over a scoped worker pool with
-//!   work stealing; results are bit-identical to serial evaluation.
+//! * the inference server's handle (`snowcat-serve`).
 //!
-//! Memoization is not a wrapper: the deployed model under [`Pic`] (and
-//! under the inference server's model epochs) runs one forward pass per
-//! distinct graph. [`PredictorService`] bundles a predictor chain with the
-//! graph-building [`Pic`] so workflow code can go from (CTI, scheduling
-//! hints) to predictions in one call.
+//! Every PIC prediction, direct or served, is one
+//! [`crate::pic::DeployedModel::predict`] call on the thread that asks: a
+//! memo lookup and at most one forward pass per graph, so each distinct
+//! graph costs one forward pass. [`PredictorService`] bundles a predictor
+//! with the graph-building [`Pic`] so workflow code can go from (CTI,
+//! scheduling hints) to predictions in one call.
 
 use crate::pic::{Pic, PredictedCoverage};
 use rand::SeedableRng;
@@ -30,7 +30,7 @@ use snowcat_corpus::StiProfile;
 use snowcat_graph::CtGraph;
 use snowcat_nn::BaselinePredictor;
 use snowcat_vm::ScheduleHints;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// FNV-1a over a byte slice, continuing from `h` (so hashes can be chained).
 pub(crate) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
@@ -122,7 +122,7 @@ pub trait CoveragePredictor: Sync {
     /// to the predictor that actually infers.
     fn fingerprint(&self) -> u64;
 
-    /// Human-readable name of the chain ("PIC-5", "parallel4(PIC-5)").
+    /// Human-readable name of the chain ("PIC-5", "serve(PIC-5)").
     fn name(&self) -> String;
 
     /// Predict coverage for a single CT graph.
@@ -133,39 +133,9 @@ pub trait CoveragePredictor: Sync {
     }
 }
 
-impl<P: CoveragePredictor + ?Sized> CoveragePredictor for &P {
-    fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        (**self).predict_batch(graphs)
-    }
-
-    fn stats(&self) -> PredictorStats {
-        (**self).stats()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        (**self).fingerprint()
-    }
-
-    fn name(&self) -> String {
-        (**self).name()
-    }
-
-    fn predict_one(&self, graph: &CtGraph) -> PredictedCoverage {
-        (**self).predict_one(graph)
-    }
-}
-
-/// Coverage prediction with the auxiliary inter-thread-flow head (§6). Only
-/// meaningful on models trained on flow examples
-/// ([`snowcat_nn::FlowLabeledGraph`]); the flow scores are aligned with `graph.edges` (0.0 on non-InterFlow edges).
-pub trait FlowPredictor: CoveragePredictor {
-    /// Predict coverage *and* per-edge inter-thread-flow probabilities.
-    fn predict_with_flows(&self, graph: &CtGraph) -> (PredictedCoverage, Vec<f32>);
-}
-
 /// The Table-1 baseline predictors behind the unified API. Coin flips are
 /// derived deterministically from the graph fingerprint, so a baseline is
-/// `Sync`, repeatable, and parallel evaluation is bit-identical to serial.
+/// `Sync` and repeatable, whichever thread asks.
 pub struct BaselineService {
     kind: BaselinePredictor,
     seed: u64,
@@ -235,86 +205,10 @@ impl CoveragePredictor for BaselineService {
     }
 }
 
-/// Fans `predict_batch` out over a scoped worker pool. Workers steal graph
-/// indices from a shared counter, so an uneven batch (graphs vary widely in
-/// vertex count) still balances; each prediction lands back in its input
-/// slot, making the output bit-identical to serial evaluation.
-pub struct ParallelPredictor<P> {
-    inner: P,
-    workers: usize,
-    batches: AtomicU64,
-}
-
-impl<P: CoveragePredictor> ParallelPredictor<P> {
-    /// Wrap `inner`, evaluating batches on up to `workers` threads.
-    pub fn new(inner: P, workers: usize) -> Self {
-        Self { inner, workers: workers.max(1), batches: AtomicU64::new(0) }
-    }
-
-    /// Worker pool size (≥ 1).
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The wrapped predictor.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: CoveragePredictor> CoveragePredictor for ParallelPredictor<P> {
-    fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if self.workers == 1 || graphs.len() <= 1 {
-            return self.inner.predict_batch(graphs);
-        }
-        let next = AtomicUsize::new(0);
-        let inner = &self.inner;
-        let predicted: Vec<(usize, PredictedCoverage)> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..self.workers.min(graphs.len()))
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut got = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= graphs.len() {
-                                break;
-                            }
-                            got.push((i, inner.predict_one(&graphs[i])));
-                        }
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("predictor worker panicked")).collect()
-        })
-        .expect("predictor pool panicked");
-        let mut out: Vec<Option<PredictedCoverage>> = graphs.iter().map(|_| None).collect();
-        for (i, p) in predicted {
-            out[i] = Some(p);
-        }
-        out.into_iter().map(|p| p.expect("every batch index predicted exactly once")).collect()
-    }
-
-    fn stats(&self) -> PredictorStats {
-        // The inner predictor sees one "batch" per stolen graph; report the
-        // batches this wrapper was actually asked for.
-        PredictorStats { batches: self.batches.load(Ordering::Relaxed), ..self.inner.stats() }
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.inner.fingerprint()
-    }
-
-    fn name(&self) -> String {
-        format!("parallel{}({})", self.workers, self.inner.name())
-    }
-}
-
 /// Graph construction + a predictor chain, bundled so workflow code can go
 /// from (CTI, scheduling hints) straight to predictions. The [`Pic`] side
 /// builds graphs; the [`CoveragePredictor`] side — by default the same
-/// `Pic`, optionally a parallel pool or a server handle around it — infers.
+/// `Pic`, optionally a server handle serving its model — infers.
 #[derive(Clone, Copy)]
 pub struct PredictorService<'a, 'k> {
     pic: &'a Pic<'k>,
@@ -451,29 +345,6 @@ mod tests {
         let all = BaselineService::all_pos().predict_one(&graphs[0]);
         assert!(all.positive.iter().all(|&p| p));
         assert_eq!(BaselineService::all_pos().stats().inferences, 0);
-    }
-
-    #[test]
-    fn parallel_predictor_is_bit_identical_to_serial() {
-        let k = generate(&GenConfig::default());
-        let cfg = KernelCfg::build(&k);
-        let (graphs, ck) = setup_graphs(9);
-        let pic = Pic::new(&ck, &k, &cfg);
-        // Parallel first, so its workers run the forward passes and the
-        // serial batch reads their memo entries.
-        let par = ParallelPredictor::new(&pic, 4);
-        let parallel = par.predict_batch(&graphs);
-        let serial = pic.predict_batch(&graphs);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.graph, p.graph);
-            assert_eq!(s.probs, p.probs);
-            assert_eq!(s.positive, p.positive);
-        }
-        let stats = par.stats();
-        assert_eq!(stats.inferences, 18, "9 parallel + 9 serial on the shared Pic");
-        assert_eq!(stats.batches, 1);
-        assert_eq!(par.fingerprint(), pic.fingerprint());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   if, under some random schedules, both racing blocks are predicted
 //!   covered.
 
-use crate::predictor::{FlowPredictor, PredictorService};
+use crate::predictor::PredictorService;
 use crate::prefilter::RacePrefilter;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -86,8 +86,8 @@ fn urb_set(cfg: &KernelCfg, profile: &StiProfile) -> BitSet {
 /// Find candidate CTIs (ordered corpus index pairs) for the target race.
 ///
 /// `Pic`/`PicFlow` modes require a [`PredictorService`]; the per-candidate
-/// schedule pool is predicted as one batch, so the service's inference
-/// chain (parallel pool or server handle) is exercised end to end.
+/// schedule pool is predicted as one batch, so the service's predictor
+/// (the `Pic` itself or a server handle) is exercised end to end.
 pub fn find_candidates(
     kernel: &Kernel,
     cfg: &KernelCfg,

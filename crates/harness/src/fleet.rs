@@ -40,7 +40,7 @@ use snowcat_race::RaceKey;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Magic of the Snowcat Campaign Fleet Checkpoint envelope.
@@ -633,12 +633,10 @@ struct FleetCtx<'a> {
     stream_len: usize,
     scfc_path: PathBuf,
     coord: Mutex<Coord>,
-}
-
-enum LeaseDecision {
-    Work(Box<ShardAssignment>),
-    Wait,
-    Stop,
+    /// Notified under `coord` whenever a shard turns pending or terminal or
+    /// a slot retires, so the monitor and idle slots wait on it instead of
+    /// polling.
+    changed: Condvar,
 }
 
 impl FleetCtx<'_> {
@@ -722,15 +720,22 @@ impl FleetCtx<'_> {
             s.generation += 1;
         }
         self.rollup(c);
+        self.changed.notify_all();
     }
 
-    fn try_lease(&self, slot: usize) -> LeaseDecision {
+    /// Lease the first pending shard to `slot`. While none is pending the
+    /// slot waits on `changed`; `None` once the fleet is over (every shard
+    /// terminal, or failed).
+    fn try_lease(&self, slot: usize) -> Option<Box<ShardAssignment>> {
         let mut c = self.coord.lock().expect("fleet coordinator poisoned");
-        if c.failed || c.all_terminal() {
-            return LeaseDecision::Stop;
-        }
-        let Some(shard) = c.shards.iter().position(|s| s.status == ShardStatus::Pending) else {
-            return LeaseDecision::Wait;
+        let shard = loop {
+            if c.failed || c.all_terminal() {
+                return None;
+            }
+            if let Some(shard) = c.shards.iter().position(|s| s.status == ShardStatus::Pending) {
+                break shard;
+            }
+            c = self.changed.wait(c).expect("fleet coordinator poisoned");
         };
         let resume = self.resolve_resume(&c.shards[shard]);
         let resume_position = resume.as_ref().map(|ck| ck.position).unwrap_or(0);
@@ -768,7 +773,7 @@ impl FleetCtx<'_> {
                 });
             }
         }
-        LeaseDecision::Work(Box::new(ShardAssignment {
+        Some(Box::new(ShardAssignment {
             shard,
             worker: slot,
             start,
@@ -826,6 +831,7 @@ impl FleetCtx<'_> {
             });
         }
         self.rollup(&mut c);
+        self.changed.notify_all();
         true
     }
 
@@ -847,8 +853,8 @@ impl FleetCtx<'_> {
     }
 
     /// Retire a worker slot. Degradation is checked *here*, eagerly, not
-    /// only on monitor ticks: two slots retiring back-to-back between
-    /// ticks would otherwise drive `live_workers` straight to zero and
+    /// in the monitor: two slots retiring back-to-back before the monitor
+    /// runs would otherwise drive `live_workers` straight to zero and
     /// misreport a degraded fleet as a totally failed one.
     fn worker_exit(&self) {
         let mut c = self.coord.lock().expect("fleet coordinator poisoned");
@@ -874,6 +880,7 @@ impl FleetCtx<'_> {
             }
             self.rollup(&mut c);
         }
+        self.changed.notify_all();
     }
 
     fn worker_loop(&self, slot: usize, worker: &dyn FleetWorker) {
@@ -884,9 +891,8 @@ impl FleetCtx<'_> {
         let mut consecutive_failures = 0u64;
         loop {
             match self.try_lease(slot) {
-                LeaseDecision::Stop => break,
-                LeaseDecision::Wait => std::thread::sleep(Duration::from_millis(2)),
-                LeaseDecision::Work(asg) => {
+                None => break,
+                Some(asg) => {
                     let (shard, generation) = (asg.shard, asg.generation);
                     let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         worker.run_shard(&asg)
@@ -955,12 +961,13 @@ impl FleetCtx<'_> {
         self.worker_exit();
     }
 
+    /// Check leases on every change and at least once per tick, and return
+    /// as soon as the fleet is over.
     fn monitor_loop(&self) {
         let deadline = Duration::from_millis(self.cfg.lease_ms.max(1));
         let tick = Duration::from_millis((self.cfg.lease_ms / 4).clamp(2, 100));
+        let mut c = self.coord.lock().expect("fleet coordinator poisoned");
         loop {
-            std::thread::sleep(tick);
-            let mut c = self.coord.lock().expect("fleet coordinator poisoned");
             if c.all_terminal() || c.failed {
                 return;
             }
@@ -996,6 +1003,7 @@ impl FleetCtx<'_> {
                 c.lost_workers += 1;
                 self.requeue(&mut c, shard);
             }
+            c = self.changed.wait_timeout(c, tick).expect("fleet coordinator poisoned").0;
         }
     }
 }
@@ -1108,6 +1116,7 @@ pub fn run_fleet(
             failed: false,
             degraded: None,
         }),
+        changed: Condvar::new(),
     };
     {
         // Initial rollup so the SCFC exists before any worker starts (a

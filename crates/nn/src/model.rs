@@ -603,11 +603,6 @@ impl PicModel {
         probs
     }
 
-    /// Thresholded prediction.
-    pub fn predict(&self, graph: &CtGraph, threshold: f32) -> Vec<bool> {
-        self.forward(graph).into_iter().map(|p| p >= threshold).collect()
-    }
-
     /// Backward pass: accumulates gradients into `grads` and returns the
     /// mean per-vertex BCE loss of this graph. Intermediate matrices come
     /// from `scratch`, so a reused arena makes training steps

@@ -14,7 +14,7 @@ use crate::optim::{Adam, AdamConfig};
 use crate::tensor::{Mat, Scratch};
 use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use snowcat_graph::CtGraph;
 
 /// A borrowed (graph, labels) training/evaluation pair.
@@ -816,8 +816,9 @@ pub fn evaluate(
     avg.finish()
 }
 
-/// A serializable model checkpoint: config, parameters, tuned threshold.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A model checkpoint: config, parameters, tuned threshold. It serializes
+/// to JSON for inspection only; models load from the binary encoding.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Checkpoint {
     /// Model hyperparameters.
     pub cfg: PicConfig,
@@ -854,14 +855,11 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Serialize to JSON.
+    /// Serialize to JSON: a write-only, human-readable export (non-finite
+    /// floats become `null`). Models load only from the binary encoding
+    /// ([`crate::encode_model_checkpoint`]).
     pub fn to_json(&self) -> serde_json::Result<String> {
         serde_json::to_string(self)
-    }
-
-    /// Deserialize from JSON.
-    pub fn from_json(s: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(s)
     }
 }
 
@@ -968,8 +966,8 @@ mod tests {
         let data = dataset(0..3);
         let model = PicModel::new(PicConfig { hidden: 8, layers: 2, ..Default::default() });
         let ck = Checkpoint::new(&model, 0.4, "test");
-        let json = ck.to_json().unwrap();
-        let back = Checkpoint::from_json(&json).unwrap();
+        let bytes = crate::encode_model_checkpoint(&ck);
+        let back = crate::decode_model_checkpoint(&bytes).unwrap();
         let restored = back.restore();
         for (g, _) in &data {
             assert_eq!(model.forward(g), restored.forward(g));

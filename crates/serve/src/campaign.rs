@@ -34,7 +34,7 @@ const FEED_CAP: usize = 1024;
 /// How to serve a campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServedCampaignConfig {
-    /// Server settings.
+    /// Server settings (none is read; see [`ServeConfig`]).
     pub serve: ServeConfig,
     /// MLPCT candidate-selection strategy.
     pub strategy: StrategyKind,

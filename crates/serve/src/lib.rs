@@ -9,11 +9,12 @@
 //!   server holds no queue and spawns no thread, and a handle that never
 //!   sends delays nobody.
 //! * [`ServerHandle`] is the cloneable client. It implements
-//!   [`snowcat_core::CoveragePredictor`], so campaigns, worker pools and
+//!   [`snowcat_core::CoveragePredictor`], so campaigns, fleet slots and
 //!   benches plug in unchanged — and served results are **bit-identical**
-//!   to calling the model directly, because both run the same
-//!   [`snowcat_core::DeployedModel`] and per-graph inference never depends
-//!   on the request it arrived in.
+//!   to calling the model directly, because a request is one
+//!   [`snowcat_core::DeployedModel::predict`] call, the same one a direct
+//!   `Pic` makes, and per-graph inference never depends on the request it
+//!   arrived in.
 //! * [`SwapCell`] holds the served weights behind an arc-swap:
 //!   [`InferenceServer::try_swap`] installs a refreshed checkpoint
 //!   **atomically** (in-flight requests finish on the epoch they hold),
@@ -38,7 +39,7 @@ pub mod server;
 pub mod stats;
 
 pub use campaign::{run_served_campaign, ServedCampaignConfig, ServedCampaignOutcome};
-pub use model::{ApGate, EpochPredictor, ModelEpoch, SwapCell, SwapOutcome};
+pub use model::{ApGate, ModelEpoch, SwapCell, SwapOutcome};
 pub use refresh::{run_refresher, RefreshConfig, RefreshReport};
 pub use server::{InferenceServer, ServeConfig, ServerHandle};
 pub use stats::{LatencyHistogram, ServingReport};

@@ -1,12 +1,16 @@
 //! Owned model snapshots and the atomic hot-swap cell.
 //!
 //! The deployed [`snowcat_core::Pic`] borrows the kernel image for graph
-//! construction, which would tie a long-lived server to a stack frame. Serving therefore splits the two roles: graph building stays on
-//! the campaign side (through [`snowcat_core::PredictorService`]), while the
+//! construction, which would tie a long-lived server to a stack frame.
+//! Serving therefore splits the two roles: graph building stays on the
+//! campaign side (through [`snowcat_core::PredictorService`]), while the
 //! server owns a fully `'static` [`ModelEpoch`] — a
 //! [`snowcat_core::DeployedModel`] (restored weights, tuned threshold,
-//! prediction memo) and its fingerprint — behind a [`SwapCell`]. Each epoch
-//! starts with an empty memo, so no prediction crosses a swap.
+//! checkpoint fingerprint and name, prediction memo) and its swap ordinal —
+//! behind a [`SwapCell`]. A request predicts with one
+//! [`snowcat_core::DeployedModel::predict`] call on its epoch, the same call
+//! a direct `Pic` makes. Each epoch starts with an empty memo, so no
+//! prediction crosses a swap.
 //!
 //! A swap replaces the `Arc<ModelEpoch>` under a write lock: requests that
 //! already cloned the old `Arc` finish on the old weights, every later
@@ -15,9 +19,7 @@
 //! gate can roll a bad candidate back.
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use snowcat_core::{
-    checkpoint_fingerprint, CoveragePredictor, DeployedModel, PredictedCoverage, PredictorStats,
-};
+use snowcat_core::DeployedModel;
 use snowcat_graph::CtGraph;
 use snowcat_nn::{urb_average_precision, Checkpoint, LabeledGraph, PicModel};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,17 +29,12 @@ use std::sync::Arc;
 /// needs to predict is owned here, so a request holding an
 /// `Arc<ModelEpoch>` is unaffected by concurrent swaps.
 pub struct ModelEpoch {
-    /// Restored weights and tuned threshold: the same memoizing forward
-    /// pass a direct `Pic` runs. Per-graph output depends only on (weights,
-    /// graph), never on the request it arrived in, which is what makes a
-    /// served request bit-identical to a direct call.
+    /// Restored weights, tuned threshold, the checkpoint's fingerprint and
+    /// name: the same memoizing forward pass a direct `Pic` runs. Per-graph
+    /// output depends only on (weights, graph), never on the request it
+    /// arrived in, which is what makes a served request bit-identical to a
+    /// direct call.
     pub deployed: DeployedModel,
-    /// Content fingerprint (same derivation as a direct `Pic` deployment,
-    /// so a handle and the model it serves report the same value, and a
-    /// swap to a different checkpoint changes it).
-    pub fingerprint: u64,
-    /// Provenance name of the checkpoint.
-    pub name: String,
     /// Swap ordinal: 0 for the initial model, incremented per install.
     pub epoch: u64,
 }
@@ -45,44 +42,7 @@ pub struct ModelEpoch {
 impl ModelEpoch {
     /// Snapshot a checkpoint into a serveable epoch.
     pub fn from_checkpoint(ck: &Checkpoint, epoch: u64) -> Self {
-        Self {
-            deployed: DeployedModel::new(ck),
-            fingerprint: checkpoint_fingerprint(ck),
-            name: ck.name.clone(),
-            epoch,
-        }
-    }
-}
-
-/// [`CoveragePredictor`] adapter over an epoch, used to fan a request out
-/// through [`snowcat_core::ParallelPredictor`]. Counters live on the server
-/// (this adapter reports zeros so wrapper stats never double-count).
-pub struct EpochPredictor {
-    epoch: Arc<ModelEpoch>,
-}
-
-impl EpochPredictor {
-    /// Wrap an epoch snapshot.
-    pub fn new(epoch: Arc<ModelEpoch>) -> Self {
-        Self { epoch }
-    }
-}
-
-impl CoveragePredictor for EpochPredictor {
-    fn predict_batch(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
-        self.epoch.deployed.predict(graphs)
-    }
-
-    fn stats(&self) -> PredictorStats {
-        PredictorStats::new()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        self.epoch.fingerprint
-    }
-
-    fn name(&self) -> String {
-        self.epoch.name.clone()
+        Self { deployed: DeployedModel::new(ck), epoch }
     }
 }
 

@@ -176,7 +176,8 @@ fn refresh_once(
     // aborts this round; the incumbent keeps serving untouched.
     snowcat_harness::robust_train(&mut model, &train_set, &valid, &tcfg, false).ok()?;
 
-    let base = incumbent.name.split("+r").next().unwrap_or(&incumbent.name);
+    let name = incumbent.deployed.name();
+    let base = name.split("+r").next().unwrap_or(name);
     // Keep the incumbent's tuned threshold: AP gating is threshold-free
     // and the refresh set is too small to re-tune F2 meaningfully.
     let candidate =

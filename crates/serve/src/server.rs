@@ -2,12 +2,11 @@
 //! thread, against one model epoch.
 //!
 //! A handle's `predict_batch` clones the current `Arc<ModelEpoch>` once and
-//! predicts the whole request on it, fanning out through
-//! [`ParallelPredictor`] when [`ServeConfig::workers`] is above 1. So a
-//! caller's result always comes from a single epoch — a hot swap can never
-//! hand it a torn mix of old and new weights — and it comes from the same
-//! [`snowcat_core::DeployedModel`] a direct `Pic` runs, so it is
-//! bit-identical to direct inference.
+//! predicts the whole request with one
+//! [`snowcat_core::DeployedModel::predict`] call on it. So a caller's result
+//! always comes from a single epoch — a hot swap can never hand it a torn
+//! mix of old and new weights — and it comes from the same call a direct
+//! `Pic` makes, so it is bit-identical to direct inference.
 //!
 //! Requests never wait on one another: the server holds no queue and
 //! spawns no thread, and a request takes only the swap cell's read lock and
@@ -16,9 +15,9 @@
 //! handle still predicts the same way, and counts the request in
 //! [`crate::ServingReport::shed`].
 
-use crate::model::{ApGate, EpochPredictor, ModelEpoch, SwapCell, SwapOutcome};
+use crate::model::{ApGate, ModelEpoch, SwapCell, SwapOutcome};
 use crate::stats::{LatencyHistogram, ServingReport};
-use snowcat_core::{CoveragePredictor, ParallelPredictor, PredictedCoverage, PredictorStats};
+use snowcat_core::{CoveragePredictor, PredictedCoverage, PredictorStats};
 use snowcat_events::{EventSink, ServeEvent};
 use snowcat_graph::CtGraph;
 use snowcat_nn::Checkpoint;
@@ -29,7 +28,8 @@ use std::time::Instant;
 /// Emit a [`ServeEvent::Snapshot`] every this many requests.
 const SNAPSHOT_EVERY: u64 = 64;
 
-/// Server settings.
+/// Server settings. No field is read; the type stays because snowbench
+/// still builds one.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Not read: requests are never coalesced. Kept so that existing
@@ -38,8 +38,8 @@ pub struct ServeConfig {
     /// Not read: no request waits. Kept so that existing callers still
     /// compile.
     pub max_wait_us: u64,
-    /// Inference worker threads per request (1 = serial on the caller's
-    /// thread).
+    /// Not read: every request predicts on its caller's thread. Kept so
+    /// that existing callers still compile.
     pub workers: usize,
 }
 
@@ -50,7 +50,6 @@ impl Default for ServeConfig {
 }
 
 struct Shared {
-    workers: usize,
     model: SwapCell,
     stopped: AtomicBool,
     requests: AtomicU64,
@@ -71,12 +70,7 @@ impl Shared {
     /// Predict `graphs` on the current epoch, on the calling thread.
     fn predict(&self, graphs: &[CtGraph]) -> Vec<PredictedCoverage> {
         let start = Instant::now();
-        let epoch = self.model.current();
-        let out = if self.workers > 1 {
-            ParallelPredictor::new(EpochPredictor::new(epoch), self.workers).predict_batch(graphs)
-        } else {
-            epoch.deployed.predict(graphs)
-        };
+        let out = self.model.current().deployed.predict(graphs);
         self.inferences.fetch_add(graphs.len() as u64, Ordering::Relaxed);
         self.predictions.fetch_add(1, Ordering::Relaxed);
         self.latency.record(start.elapsed().as_micros() as u64);
@@ -106,7 +100,7 @@ impl Shared {
             p99_us: self.latency.percentile(0.99),
             swaps: self.model.installs(),
             epoch: cur.epoch,
-            model_name: cur.name.clone(),
+            model_name: cur.deployed.name().to_owned(),
         }
     }
 }
@@ -115,7 +109,7 @@ impl Shared {
 ///
 /// Implements [`CoveragePredictor`], so it plugs into everything that
 /// takes one — [`snowcat_core::PredictorService`], campaign explorers,
-/// worker pools. Any number of threads may share one handle or hold clones;
+/// fleet slots. Any number of threads may share one handle or hold clones;
 /// a handle that never sends costs nothing.
 #[derive(Clone)]
 pub struct ServerHandle {
@@ -164,11 +158,11 @@ impl CoveragePredictor for ServerHandle {
     fn fingerprint(&self) -> u64 {
         // The served model's fingerprint, so callers can tell the epochs
         // of a hot swap apart.
-        self.shared.model.current().fingerprint
+        self.shared.model.current().deployed.fingerprint()
     }
 
     fn name(&self) -> String {
-        format!("serve({})", self.shared.model.current().name)
+        format!("serve({})", self.shared.model.current().deployed.name())
     }
 }
 
@@ -185,11 +179,10 @@ impl std::fmt::Debug for InferenceServer {
 }
 
 impl InferenceServer {
-    /// Start serving `checkpoint` under `cfg`, emitting serving events to
-    /// `events` when provided.
-    pub fn start(checkpoint: &Checkpoint, cfg: ServeConfig, events: Option<EventSink>) -> Self {
+    /// Start serving `checkpoint`, emitting serving events to `events` when
+    /// provided. No [`ServeConfig`] field is read.
+    pub fn start(checkpoint: &Checkpoint, _cfg: ServeConfig, events: Option<EventSink>) -> Self {
         let shared = Arc::new(Shared {
-            workers: cfg.workers.max(1),
             model: SwapCell::new(ModelEpoch::from_checkpoint(checkpoint, 0)),
             stopped: AtomicBool::new(false),
             requests: AtomicU64::new(0),
@@ -244,7 +237,7 @@ impl InferenceServer {
 
         let incumbent = shared.model.current();
         let cand = ModelEpoch::from_checkpoint(candidate, epoch_no);
-        let (name, fingerprint) = (cand.name.clone(), cand.fingerprint);
+        let (name, fingerprint) = (cand.deployed.name().to_owned(), cand.deployed.fingerprint());
         shared.model.install(cand);
         shared.emit(ServeEvent::SwapInstalled { epoch: epoch_no, name, fingerprint });
 

@@ -1,7 +1,7 @@
 //! The serving contract: predictions that went through the inference
-//! server — any request shape, any worker count, any number of concurrent
-//! callers — are *bit-identical* to calling `Pic::predict_batch` directly
-//! on the same model.
+//! server — any request shape, any number of concurrent callers — are
+//! *bit-identical* to calling `Pic::predict_batch` directly on the same
+//! model.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -82,9 +82,9 @@ fn partition(graphs: &[CtGraph], cuts: &[usize]) -> Vec<Vec<CtGraph>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Concurrent callers sending arbitrary request partitions through a
-    /// server with 1–3 workers per request get back exactly what a direct
-    /// serial `predict_batch` produces, request by request. Request graphs
+    /// Concurrent callers sending arbitrary request partitions through the
+    /// server get back exactly what a direct serial `predict_batch`
+    /// produces, request by request. Request graphs
     /// are drawn from a candidate pool with replacement, so both sides also
     /// answer repeats from their prediction memos.
     #[test]
@@ -93,7 +93,6 @@ proptest! {
         n in 1usize..20,
         picks in proptest::collection::vec(0usize..64, 1..24),
         cuts in proptest::collection::vec(0usize..16, 0..8),
-        workers in 1usize..4,
     ) {
         let fx = fixture();
         let pic = Pic::new(&fx.checkpoint, &fx.kernel, &fx.cfg);
@@ -103,11 +102,7 @@ proptest! {
         let direct: Vec<Vec<PredictedCoverage>> =
             requests.iter().map(|r| pic.predict_batch(r)).collect();
 
-        let mut server = InferenceServer::start(
-            &fx.checkpoint,
-            ServeConfig { workers, ..ServeConfig::default() },
-            None,
-        );
+        let mut server = InferenceServer::start(&fx.checkpoint, ServeConfig::default(), None);
         // Fire every request from its own thread, so concurrent callers
         // share the epoch's prediction memo.
         let served: Vec<Vec<PredictedCoverage>> = crossbeam::thread::scope(|s| {
