@@ -163,9 +163,8 @@ pub fn explore_pct(
 /// Explore a CTI with MLPCT: same proposal stream, but only candidates the
 /// strategy selects (based on the predicted coverage) are executed.
 ///
-/// Predictions go through the [`PredictorService`]'s inference chain, so
-/// callers can route them through a worker pool or an inference server
-/// transparently.
+/// Predictions go through the [`PredictorService`]'s predictor: the `Pic`
+/// itself or an inference server's handle, which predict the same.
 pub fn explore_mlpct(
     kernel: &Kernel,
     service: &PredictorService<'_, '_>,
