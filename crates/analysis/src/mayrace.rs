@@ -5,7 +5,8 @@
 //! 1. both live in code statically reachable from some syscall (so two
 //!    concurrently running STIs can execute them — two STIs may invoke the
 //!    same syscall, so no "different syscall" restriction applies),
-//! 2. their [`AddrExpr::static_range`]s overlap,
+//! 2. their [`AddrExpr::static_range`](snowcat_kernel::AddrExpr::static_range)s
+//!    overlap,
 //! 3. at least one is a write, and
 //! 4. their must-hold locksets are disjoint.
 //!

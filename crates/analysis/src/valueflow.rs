@@ -180,7 +180,7 @@ impl AccessPattern {
     }
 
     /// Whether two patterns share at least one word. Exact for equal
-    /// strides (congruence test) and for progressions up to [`ENUM_CAP`]
+    /// strides (congruence test) and for progressions up to `ENUM_CAP`
     /// elements; beyond that it soundly falls back to range overlap.
     pub fn overlaps(self, o: Self) -> bool {
         if self.last() < o.start || o.last() < self.start {

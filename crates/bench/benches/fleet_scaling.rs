@@ -107,6 +107,18 @@ fn find_snowcat() -> Option<std::path::PathBuf> {
     }
 }
 
+/// `bin` as the report records it: relative to the workspace root, or only
+/// its file name when it lies outside the workspace, so the tracked report
+/// carries no machine-specific path.
+fn recorded_bin_path(bin: &std::path::Path) -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize();
+    let bin = bin.canonicalize().unwrap_or_else(|_| bin.to_path_buf());
+    match root.as_deref().ok().and_then(|r| bin.strip_prefix(r).ok()) {
+        Some(rel) => rel.display().to_string(),
+        None => bin.file_name().unwrap_or_default().to_string_lossy().into_owned(),
+    }
+}
+
 /// One process-transport fleet over the CLI campaign stream: the worker
 /// subprocesses rebuild the same (version, seed, ctis) stream themselves,
 /// so the parent only supplies the command line and the stream length.
@@ -377,7 +389,7 @@ fn main() {
                 });
             }
             Some(ProcessSection {
-                snowcat_bin: bin.display().to_string(),
+                snowcat_bin: recorded_bin_path(&bin),
                 stream_ctis: p_stream.len(),
                 exec_budget: p_budget,
                 rows,

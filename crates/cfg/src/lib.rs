@@ -142,30 +142,6 @@ impl KernelCfg {
     pub fn syscall_reachability(&self, kernel: &Kernel) -> Vec<BitSet> {
         kernel.syscalls.iter().map(|s| self.reachable_from(&[self.entry(s.func)])).collect()
     }
-
-    /// Functions whose entry can statically reach `target` — used by the
-    /// Razzer-style analysis to shortlist syscalls that might execute a
-    /// racing instruction.
-    pub fn funcs_reaching(&self, kernel: &Kernel, target: BlockId) -> Vec<FuncId> {
-        // Reverse BFS from the target.
-        let mut seen = BitSet::new(self.num_blocks());
-        let mut stack = vec![target];
-        seen.insert(target.index());
-        while let Some(b) = stack.pop() {
-            for &p in self.predecessors(b) {
-                if seen.insert(p.index()) {
-                    stack.push(p);
-                }
-            }
-        }
-        kernel
-            .funcs
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| seen.contains(f.entry.index()))
-            .map(|(i, _)| FuncId(i as u32))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -267,16 +243,6 @@ mod tests {
             assert!(reach[i].contains(entry.index()), "entry must reach itself");
             assert_eq!(reach[i], cfg.reachable_from(&[entry]));
         }
-    }
-
-    #[test]
-    fn funcs_reaching_finds_owning_function() {
-        let (k, cfg) = setup();
-        // Pick some block in the middle of a function.
-        let target = BlockId(10);
-        let owner = k.block(target).func;
-        let funcs = cfg.funcs_reaching(&k, target);
-        assert!(funcs.contains(&owner), "owning function must reach its own block");
     }
 
     #[test]

@@ -52,11 +52,6 @@ impl PredictedCoverage {
     pub fn covers_block(&self, block: BlockId) -> bool {
         self.graph.verts.iter().zip(&self.positive).any(|(v, &p)| p && v.block == block)
     }
-
-    /// Indices of predicted-positive vertices.
-    pub fn positive_indices(&self) -> Vec<usize> {
-        self.positive.iter().enumerate().filter(|(_, &p)| p).map(|(i, _)| i).collect()
-    }
 }
 
 /// A restored model and its tuned threshold: the one implementation of
@@ -329,7 +324,7 @@ mod tests {
         assert_eq!(pic.inferences(), 1);
         assert_eq!(pic.stats().inferences, 1);
         // positive_blocks consistent with positive flags.
-        assert_eq!(pred.positive_blocks().len(), pred.positive_indices().len());
+        assert_eq!(pred.positive_blocks().len(), pred.positive.iter().filter(|&&p| p).count());
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! [`SupervisorConfig::new()`] (no faults injected, no fuel override, no
 //! checkpointing) it is the plain paper campaign, so robustness costs
 //! nothing on the happy path. Likewise, [`trainer::robust_train`] is
-//! [`snowcat_nn::train`] under a supervising hook: when no guard trips, its
+//! [`snowcat_nn::train()`] under a supervising hook: when no guard trips, its
 //! model is bit-identical to the plain loop's.
 
 #![forbid(unsafe_code)]

@@ -14,7 +14,7 @@
 //! SIGKILLed coordinator leaves no orphans because every child's next
 //! heartbeat write fails with `EPIPE` and exits the process.
 //!
-//! Every child is additionally held by a kill-on-drop [`ChildGuard`], so
+//! Every child is additionally held by a kill-on-drop `ChildGuard`, so
 //! a *normally* exiting coordinator (including panics unwinding through
 //! `run_fleet`) reaps its children synchronously.
 

@@ -3,7 +3,7 @@
 //! Training is itself a long-running job (the predictor is retrained per
 //! kernel version and refreshed during campaigns), so it gets the same
 //! discipline as campaign execution. [`robust_train`] runs the one epoch
-//! loop, [`snowcat_nn::train`], under a hook that adds three layers:
+//! loop, [`snowcat_nn::train()`], under a hook that adds three layers:
 //!
 //! * **epoch-granular checkpoints** — model weights, Adam moments, the RNG
 //!   stream position, the *cumulative* shuffle permutation and metric
@@ -645,7 +645,7 @@ impl TrainHook for Supervisor<'_> {
     }
 }
 
-/// Train `model` under supervision: the [`snowcat_nn::train`] loop with
+/// Train `model` under supervision: the [`snowcat_nn::train()`] loop with
 /// anomaly guards, rollback-and-retry, epoch-granular checkpointing and
 /// patience-based early stopping, then F2 threshold tuning on `valid`.
 ///

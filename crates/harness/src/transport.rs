@@ -45,7 +45,7 @@ pub const MAX_FRAME_LEN: u64 = 64 * 1024 * 1024;
 /// Fixed frame header size: magic(4) + version(2) + len(8) + crc32(4).
 const HEADER_LEN: usize = 18;
 
-/// A [`ShardAssignment`](crate::ShardAssignment) minus the in-process
+/// A [`ShardAssignment`] minus the in-process
 /// [`LeaseSignal`](crate::LeaseSignal) — the lease crosses the process
 /// boundary as `Beat` frames instead of shared atomics.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -73,29 +73,9 @@ pub struct BugSpec {
     pub harmful: bool,
 }
 
-/// True if this bug's oracle can only fire when `a` and `b` (in either
-/// order) are the syscalls run by the two threads.
-pub fn bug_matches_syscalls(spec: &BugSpec, a: SyscallId, b: SyscallId) -> bool {
-    let (x, y) = spec.syscalls;
-    (x == a && y == b) || (x == b && y == a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec() -> BugSpec {
-        BugSpec {
-            id: BugId(0),
-            kind: BugKind::AtomicityViolation,
-            difficulty: BugDifficulty::Medium,
-            subsystem: SubsystemId(1),
-            summary: "AV: fs_open() & fs_close()".into(),
-            syscalls: (SyscallId(3), SyscallId(4)),
-            racing_instrs: vec![],
-            harmful: true,
-        }
-    }
 
     #[test]
     fn kind_codes() {
@@ -103,14 +83,6 @@ mod tests {
         assert_eq!(BugKind::AtomicityViolation.code(), "AV");
         assert_eq!(BugKind::OrderViolation.code(), "OV");
         assert_eq!(BugKind::MultiOrder.code(), "MO");
-    }
-
-    #[test]
-    fn syscall_matching_is_symmetric() {
-        let s = spec();
-        assert!(bug_matches_syscalls(&s, SyscallId(3), SyscallId(4)));
-        assert!(bug_matches_syscalls(&s, SyscallId(4), SyscallId(3)));
-        assert!(!bug_matches_syscalls(&s, SyscallId(3), SyscallId(3)));
     }
 
     #[test]

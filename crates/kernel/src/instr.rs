@@ -234,12 +234,6 @@ impl Instr {
         matches!(self, Instr::Load { .. } | Instr::Store { .. })
     }
 
-    /// Whether this instruction writes shared kernel memory.
-    #[inline]
-    pub fn is_store(&self) -> bool {
-        matches!(self, Instr::Store { .. })
-    }
-
     /// The address expression of a memory access, if this is one.
     #[inline]
     pub fn addr_expr(&self) -> Option<AddrExpr> {
@@ -346,8 +340,7 @@ mod tests {
             addr: AddrExpr::Indexed { base: Addr(4), reg: Reg(0), stride: 2, len: 3 },
             src: Reg(1),
         };
-        assert!(load.is_mem_access() && !load.is_store());
-        assert!(store.is_mem_access() && store.is_store());
+        assert!(load.is_mem_access() && store.is_mem_access());
         assert_eq!(load.fixed_addr(), Some(Addr(9)));
         assert_eq!(store.fixed_addr(), None, "indexed addresses are not fixed");
         assert!(store.addr_expr().is_some());

@@ -16,7 +16,7 @@
 //!   message passing and the [`model::PicSession`] zero-allocation
 //!   inference path,
 //! * [`metrics`] — precision/recall/F1/F2/accuracy/balanced-accuracy/AP,
-//! * [`train`] — the one data-parallel epoch loop (bit-identical across
+//! * [`train`](mod@train) — the one data-parallel epoch loop (bit-identical across
 //!   thread counts) with best-validation-AP checkpointing, resumable from a
 //!   [`train::TrainState`] and supervised through a [`train::TrainHook`]
 //!   (rollback and salted retry, NaN/Inf step guards, fault injection),
@@ -50,7 +50,7 @@ pub use optim::{Adam, AdamConfig, AdamSnapshot};
 pub use tensor::{Mat, Scratch};
 pub use train::{
     dataset_fingerprint, evaluate, evaluate_pooled, evaluate_predictions_pooled,
-    flow_average_precision, train, tune_threshold_f2, tune_threshold_f2_pooled,
-    urb_average_precision, Checkpoint, EpochError, EpochFault, EpochOutcome, FlowLabeledGraph,
-    LabeledGraph, Next, TrainConfig, TrainExample, TrainHook, TrainReport, TrainState, Verdict,
+    flow_average_precision, train, tune_threshold_f2_pooled, urb_average_precision, Checkpoint,
+    EpochError, EpochFault, EpochOutcome, FlowLabeledGraph, LabeledGraph, Next, TrainConfig,
+    TrainExample, TrainHook, TrainReport, TrainState, Verdict,
 };

@@ -15,8 +15,13 @@
 //!   (the paper found deeper GNNs help; depth is configurable);
 //! * **head** — per-vertex logistic classifier → covered / not covered.
 //!
-//! Forward and backward passes are hand-derived (no autograd): activations
-//! are cached per layer, gradients flow through the scatter/gather
+//! Forward and backward passes are hand-derived (no autograd). There is one
+//! forward pass, the body behind [`PicModel::forward_into`]. Inference runs
+//! it without a recorder; training runs it through
+//! [`PicModel::forward_cached`] with a [`ForwardCache`] recorder, which keeps
+//! the per-layer activations that inference hands back to its scratch arena.
+//! The function the trainer fits is therefore the function a campaign
+//! deploys, by construction. Gradients flow through the scatter/gather
 //! aggregation exactly adjoint to the forward.
 //!
 //! # Compute path
@@ -34,11 +39,10 @@
 //! sparsity the old `if a == 0.0` kernel branch exploited by accident,
 //! while skipping the untouched rows' gather *and* matmul cost entirely.
 //!
-//! The per-vertex reduction order is fixed and shared by the training and
-//! inference paths, which therefore agree bit-for-bit: bias first, then the
-//! `W_self` products in ascending-k order (see the summation-order contract
-//! in [`crate::tensor`]), then one row-add of each completed per-kind
-//! message transform, kinds in ascending kind order.
+//! The per-vertex reduction order is fixed: bias first, then the `W_self`
+//! products in ascending-k order (see the summation-order contract in
+//! [`crate::tensor`]), then one row-add of each completed per-kind message
+//! transform, kinds in ascending kind order.
 //!
 //! Inference goes through a [`PicSession`], which owns a [`Scratch`] arena
 //! and a reusable adjacency: after warmup, [`PicModel::forward_into`]
@@ -339,8 +343,7 @@ fn aggregate_backward_into(adj: &CsrAdj, r: usize, grad_m: &Mat, grad_h: &mut Ma
 /// Scatter-add the compacted per-kind message transform into `z`:
 /// `z[touched[j]] += mw[j]` row-wise, `j` ascending. One (rounded) add per
 /// element of the *completed* `W_r`-transformed message row — this row-add
-/// order is part of the model's reduction contract (see the module doc) and
-/// is shared by the training and inference paths.
+/// order is part of the model's reduction contract (see the module doc).
 #[inline(always)]
 fn scatter_add_rows(ka: &snowcat_graph::KindAdj, mw: &Mat, z: &mut Mat) {
     for (row, &v) in ka.touched().iter().enumerate() {
@@ -360,20 +363,33 @@ fn head_logit(h_row: &[f32], w_out: &Mat, b_out: &Mat) -> f32 {
     acc
 }
 
-/// Cached activations from one forward pass (needed for backward).
+/// What the forward pass records for the backward pass: the activations the
+/// inference body would otherwise hand back to its scratch arena.
+#[derive(Default)]
 pub struct ForwardCache {
     /// CSR adjacency of the graph (built once; backward reuses it).
     adj: CsrAdj,
-    x: Mat,            // input features (type emb + asm emb), n×d
-    z_in: Mat,         // pre-relu input transform
-    layer_h: Vec<Mat>, // input H of each layer
-    /// Compacted aggregated messages per layer per kind: `touched_r × d`
-    /// (empty matrix for kinds with no edges).
-    layer_m: Vec<Vec<Mat>>,
-    layer_z: Vec<Mat>, // pre-relu per layer
-    h_final: Mat,
+    /// Input features (type, schedule-mark, token and static embeddings), n×d.
+    x: Mat,
+    /// The hidden state entering each layer, then the final one: `hs[0]` is
+    /// `h0 = relu(b_in + x @ w_in)` and the last entry feeds the heads.
+    hs: Vec<Mat>,
+    /// Compacted aggregated messages, layer-major: entry
+    /// `layer * NUM_EDGE_TYPES + r` is `touched_r × d` (empty for a kind with
+    /// no edges).
+    msgs: Vec<Mat>,
+    /// Each layer's `relu(z)` before the residual add. It is ≤ 0 exactly
+    /// where `z` is, so it carries the layer's ReLU mask.
+    relu: Vec<Mat>,
     /// Per-vertex logits.
     pub logits: Vec<f32>,
+}
+
+impl ForwardCache {
+    /// The final hidden state, which both heads read.
+    fn h_final(&self) -> &Mat {
+        self.hs.last().expect("a recorded forward pass ends with its final hidden state")
+    }
 }
 
 /// Reusable per-session state for allocation-free inference: a [`Scratch`]
@@ -456,65 +472,20 @@ impl PicModel {
         }
     }
 
-    fn input_features(&self, graph: &CtGraph) -> Mat {
-        let mut x = Mat::zeros(graph.num_verts(), self.cfg.hidden);
-        self.input_features_into(graph, &mut x);
-        x
-    }
-
-    /// Forward pass returning probabilities and the activation cache.
+    /// Forward pass returning probabilities and the activation cache: the
+    /// body of [`PicModel::forward_into`] on a fresh session, recording into
+    /// a new [`ForwardCache`], which then takes the session's adjacency.
     pub fn forward_cached(&self, graph: &CtGraph) -> (Vec<f32>, ForwardCache) {
-        let adj = CsrAdj::build(graph);
-        let n = graph.num_verts();
-        let d = self.cfg.hidden;
-        let x = self.input_features(graph);
-        // Input transform, bias-first: z_in = b_in + x @ w_in.
-        let mut z_in = Mat::zeros(n, d);
-        z_in.fill_row_broadcast(&self.params.b_in);
-        x.matmul_acc_into(&self.params.w_in, &mut z_in);
-        let mut h = z_in.clone();
-        h.relu_inplace();
-
-        let mut layer_h = Vec::with_capacity(self.params.layers.len());
-        let mut layer_m = Vec::with_capacity(self.params.layers.len());
-        let mut layer_z = Vec::with_capacity(self.params.layers.len());
-        for layer in &self.params.layers {
-            let h_in = h;
-            let mut z = Mat::zeros(n, d);
-            z.fill_row_broadcast(&layer.b);
-            h_in.matmul_acc_into(&layer.w_self, &mut z);
-            let mut ms = Vec::with_capacity(NUM_EDGE_TYPES);
-            for (r, w_rel) in layer.w_rel.iter().enumerate() {
-                let ka = adj.kind(r);
-                let t = ka.touched().len();
-                let mut m = Mat::zeros(t, d);
-                if t > 0 {
-                    aggregate_compact_into(&adj, r, &h_in, &mut m);
-                    let mut mw = Mat::zeros(t, d);
-                    m.matmul_into(w_rel, &mut mw);
-                    scatter_add_rows(ka, &mw, &mut z);
-                }
-                ms.push(m);
-            }
-            let mut h_out = z.clone();
-            h_out.relu_inplace();
-            h_out.add_assign(&h_in); // residual
-            layer_h.push(h_in);
-            layer_m.push(ms);
-            layer_z.push(z);
-            h = h_out;
-        }
-
-        let logits: Vec<f32> =
-            (0..n).map(|i| head_logit(h.row(i), &self.params.w_out, &self.params.b_out)).collect();
-        let probs = logits.iter().map(|&z| sigmoid(z)).collect();
-        let cache = ForwardCache { adj, x, z_in, layer_h, layer_m, layer_z, h_final: h, logits };
+        let mut session = PicSession::new();
+        let mut cache = ForwardCache::default();
+        let mut probs = Vec::new();
+        self.forward_dispatch(graph, &mut session, &mut probs, Some(&mut cache));
+        cache.adj = session.adj;
         (probs, cache)
     }
 
     /// Inference forward pass into a caller-owned probability buffer, using
-    /// the session's scratch arena and reusable adjacency. Bit-identical to
-    /// [`PicModel::forward_cached`]'s probabilities; performs zero heap
+    /// the session's scratch arena and reusable adjacency; performs zero heap
     /// allocations once the session is warmed up.
     ///
     /// The pass is compiled twice from one `#[inline(always)]` body: a
@@ -526,30 +497,56 @@ impl PicModel {
     /// wider registers change only how many columns are computed at once
     /// (see the "Vector width" section of [`crate::tensor`]).
     pub fn forward_into(&self, graph: &CtGraph, session: &mut PicSession, probs: &mut Vec<f32>) {
+        self.forward_dispatch(graph, session, probs, None);
+    }
+
+    /// Run the AVX2 copy of the forward body when the CPU has AVX2, else the
+    /// portable copy.
+    fn forward_dispatch(
+        &self,
+        graph: &CtGraph,
+        session: &mut PicSession,
+        probs: &mut Vec<f32>,
+        rec: Option<&mut ForwardCache>,
+    ) {
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
             // SAFETY: `forward_into_avx2` is safe code whose only requirement
             // is that the CPU supports AVX2, which the detection above checked.
             #[allow(unsafe_code)]
             unsafe {
-                self.forward_into_avx2(graph, session, probs)
+                self.forward_into_avx2(graph, session, probs, rec)
             };
             return;
         }
-        self.forward_into_body(graph, session, probs);
+        self.forward_into_body(graph, session, probs, rec);
     }
 
     /// The AVX2 copy of the forward pass.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    fn forward_into_avx2(&self, graph: &CtGraph, session: &mut PicSession, probs: &mut Vec<f32>) {
-        self.forward_into_body(graph, session, probs);
+    fn forward_into_avx2(
+        &self,
+        graph: &CtGraph,
+        session: &mut PicSession,
+        probs: &mut Vec<f32>,
+        rec: Option<&mut ForwardCache>,
+    ) {
+        self.forward_into_body(graph, session, probs, rec);
     }
 
-    /// The one body of both copies of [`PicModel::forward_into`]; called
-    /// directly, it compiles as the portable copy.
+    /// The model's one forward pass, the body of both copies; called
+    /// directly, it compiles as the portable copy. With a recorder `rec`
+    /// (which must start empty) it keeps the activations the backward pass
+    /// reads instead of returning them to the scratch arena.
     #[inline(always)]
-    fn forward_into_body(&self, graph: &CtGraph, session: &mut PicSession, probs: &mut Vec<f32>) {
+    fn forward_into_body(
+        &self,
+        graph: &CtGraph,
+        session: &mut PicSession,
+        probs: &mut Vec<f32>,
+        mut rec: Option<&mut ForwardCache>,
+    ) {
         let n = graph.num_verts();
         let d = self.cfg.hidden;
         probs.clear();
@@ -560,7 +557,10 @@ impl PicModel {
         // Fused input transform: h0 = relu(b_in + x @ w_in).
         let mut h = scratch.take(n, d);
         x.matmul_bias_relu_into(&self.params.w_in, &self.params.b_in, &mut h);
-        scratch.put(x);
+        match rec.as_deref_mut() {
+            Some(c) => c.x = x,
+            None => scratch.put(x),
+        }
 
         let mut z = scratch.take(n, d);
         for layer in &self.params.layers {
@@ -569,28 +569,44 @@ impl PicModel {
             for (r, w_rel) in layer.w_rel.iter().enumerate() {
                 let ka = adj.kind(r);
                 let t = ka.touched().len();
-                if t == 0 {
-                    continue;
-                }
                 let mut m = scratch.take(t, d);
-                aggregate_compact_into(adj, r, &h, &mut m);
-                let mut mw = scratch.take(t, d);
-                m.matmul_into(w_rel, &mut mw);
-                scatter_add_rows(ka, &mw, &mut z);
-                scratch.put(m);
-                scratch.put(mw);
+                if t > 0 {
+                    aggregate_compact_into(adj, r, &h, &mut m);
+                    let mut mw = scratch.take(t, d);
+                    m.matmul_into(w_rel, &mut mw);
+                    scatter_add_rows(ka, &mw, &mut z);
+                    scratch.put(mw);
+                }
+                match rec.as_deref_mut() {
+                    Some(c) => c.msgs.push(m),
+                    None => scratch.put(m),
+                }
             }
-            // h_out = relu(z) + h_in, then the old h buffer becomes next z.
+            // h_out = relu(z) + h_in, then the old h buffer becomes next z
+            // (a fresh one when the recorder keeps h_in).
             z.relu_inplace();
+            if let Some(c) = rec.as_deref_mut() {
+                c.relu.push(z.clone());
+            }
             z.add_assign(&h);
             std::mem::swap(&mut h, &mut z);
+            if let Some(c) = rec.as_deref_mut() {
+                c.hs.push(std::mem::replace(&mut z, scratch.take(n, d)));
+            }
         }
         scratch.put(z);
 
-        probs.extend(
-            (0..n).map(|i| sigmoid(head_logit(h.row(i), &self.params.w_out, &self.params.b_out))),
-        );
-        session.scratch.put(h);
+        probs.extend((0..n).map(|i| head_logit(h.row(i), &self.params.w_out, &self.params.b_out)));
+        match rec {
+            Some(c) => {
+                c.logits.extend_from_slice(probs);
+                c.hs.push(h);
+            }
+            None => scratch.put(h),
+        }
+        for p in probs.iter_mut() {
+            *p = sigmoid(*p);
+        }
     }
 
     /// Forward pass returning only probabilities (one-shot inference; for
@@ -607,7 +623,6 @@ impl PicModel {
     /// mean per-vertex BCE loss of this graph. Intermediate matrices come
     /// from `scratch`, so a reused arena makes training steps
     /// allocation-free too.
-    #[allow(clippy::needless_range_loop)]
     pub fn backward(
         &self,
         graph: &CtGraph,
@@ -616,51 +631,13 @@ impl PicModel {
         grads: &mut PicParams,
         scratch: &mut Scratch,
     ) -> f32 {
-        let n = graph.num_verts();
-        assert_eq!(labels.len(), n, "label count mismatch");
-        if n == 0 {
-            return 0.0;
-        }
-        let w = self.cfg.pos_weight;
-        let inv_n = 1.0 / n as f32;
-        let vw = |i: usize| {
-            if graph.verts[i].kind == VertKind::Urb {
-                self.cfg.urb_weight
-            } else {
-                1.0
-            }
-        };
-        let loss: f32 = cache
-            .logits
-            .iter()
-            .zip(labels)
-            .enumerate()
-            .map(|(i, (&z, &y))| vw(i) * bce_with_logit(z, y, w))
-            .sum::<f32>()
-            * inv_n;
-
-        // Head gradients.
-        let mut dh = scratch.take(n, self.cfg.hidden);
-        for i in 0..n {
-            let dz = vw(i) * bce_grad(cache.logits[i], labels[i], w) * inv_n;
-            grads.b_out.data[0] += dz;
-            for (gw, hv) in grads.w_out.data.iter_mut().zip(cache.h_final.row(i)) {
-                *gw += dz * hv;
-            }
-            for (g, wv) in dh.row_mut(i).iter_mut().zip(&self.params.w_out.data) {
-                *g += dz * wv;
-            }
-        }
-
-        self.backward_from_dh(graph, cache, dh, grads, scratch);
-        loss
+        self.backward_heads(graph, cache, labels, None, grads, scratch).0
     }
 
     /// Joint backward for the vertex-coverage head *and* the inter-thread
     /// flow head (§6 future work). `flow_labels` is aligned with
     /// `graph.edges`; only `InterFlow` edges contribute. Returns
     /// `(vertex_loss, flow_loss)`.
-    #[allow(clippy::needless_range_loop)]
     pub fn backward_with_flows(
         &self,
         graph: &CtGraph,
@@ -670,12 +647,31 @@ impl PicModel {
         grads: &mut PicParams,
         scratch: &mut Scratch,
     ) -> (f32, f32) {
+        self.backward_heads(graph, cache, labels, Some(flow_labels), grads, scratch)
+    }
+
+    /// Both backward passes: the vertex-coverage head, the flow head when
+    /// `flow_labels` is given, then the shared trunk. Returns
+    /// `(vertex_loss, flow_loss)`, the flow loss 0 without flow labels.
+    #[allow(clippy::needless_range_loop)]
+    fn backward_heads(
+        &self,
+        graph: &CtGraph,
+        cache: &ForwardCache,
+        labels: &[bool],
+        flow_labels: Option<&[bool]>,
+        grads: &mut PicParams,
+        scratch: &mut Scratch,
+    ) -> (f32, f32) {
         let n = graph.num_verts();
         assert_eq!(labels.len(), n, "label count mismatch");
-        assert_eq!(flow_labels.len(), graph.edges.len(), "flow label count mismatch");
+        if let Some(flow_labels) = flow_labels {
+            assert_eq!(flow_labels.len(), graph.edges.len(), "flow label count mismatch");
+        }
         if n == 0 {
             return (0.0, 0.0);
         }
+        let h_final = cache.h_final();
         let w = self.cfg.pos_weight;
         let inv_n = 1.0 / n as f32;
         let vw = |i: usize| {
@@ -694,11 +690,12 @@ impl PicModel {
             .sum::<f32>()
             * inv_n;
 
+        // Head gradients.
         let mut dh = scratch.take(n, self.cfg.hidden);
         for i in 0..n {
             let dz = vw(i) * bce_grad(cache.logits[i], labels[i], w) * inv_n;
             grads.b_out.data[0] += dz;
-            for (gw, hv) in grads.w_out.data.iter_mut().zip(cache.h_final.row(i)) {
+            for (gw, hv) in grads.w_out.data.iter_mut().zip(h_final.row(i)) {
                 *gw += dz * hv;
             }
             for (g, wv) in dh.row_mut(i).iter_mut().zip(&self.params.w_out.data) {
@@ -707,64 +704,66 @@ impl PicModel {
         }
 
         // Flow head: z_e = h_u · (W_flow h_v) + b_flow on InterFlow edges.
-        let inter: Vec<usize> = graph
-            .edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.kind == snowcat_graph::EdgeKind::InterFlow)
-            .map(|(i, _)| i)
-            .collect();
         let mut flow_loss = 0.0f32;
-        if !inter.is_empty() {
-            let inv_e = self.cfg.flow_weight / inter.len() as f32;
-            let d = self.cfg.hidden;
-            let mut wv_ = scratch.take(1, d);
-            let mut wtu = scratch.take(1, d);
-            for &ei in &inter {
-                let e = graph.edges[ei];
-                let (u, v) = (e.from as usize, e.to as usize);
-                let hu = cache.h_final.row(u);
-                let hv = cache.h_final.row(v);
-                // wv_ = W_flow @ h_v ; z = h_u · wv_ + b.
-                for (o, wrow) in wv_.data.iter_mut().zip(self.params.w_flow.data.chunks(d)) {
-                    let mut acc = 0.0;
-                    for (w_, hvv) in wrow.iter().zip(hv) {
-                        acc += w_ * hvv;
+        if let Some(flow_labels) = flow_labels {
+            let inter: Vec<usize> = graph
+                .edges
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.kind == snowcat_graph::EdgeKind::InterFlow)
+                .map(|(i, _)| i)
+                .collect();
+            if !inter.is_empty() {
+                let inv_e = self.cfg.flow_weight / inter.len() as f32;
+                let d = self.cfg.hidden;
+                let mut wv_ = scratch.take(1, d);
+                let mut wtu = scratch.take(1, d);
+                for &ei in &inter {
+                    let e = graph.edges[ei];
+                    let (u, v) = (e.from as usize, e.to as usize);
+                    let hu = h_final.row(u);
+                    let hv = h_final.row(v);
+                    // wv_ = W_flow @ h_v ; z = h_u · wv_ + b.
+                    for (o, wrow) in wv_.data.iter_mut().zip(self.params.w_flow.data.chunks(d)) {
+                        let mut acc = 0.0;
+                        for (w_, hvv) in wrow.iter().zip(hv) {
+                            acc += w_ * hvv;
+                        }
+                        *o = acc;
                     }
-                    *o = acc;
-                }
-                let z: f32 = hu.iter().zip(&wv_.data).map(|(a, b)| a * b).sum::<f32>()
-                    + self.params.b_flow.data[0];
-                let y = flow_labels[ei];
-                flow_loss += bce_with_logit(z, y, 1.0) * inv_e;
-                let dz = bce_grad(z, y, 1.0) * inv_e;
-                grads.b_flow.data[0] += dz;
-                // dW[r][c] += dz * hu[r] * hv[c]; dh_u += dz * W hv; dh_v += dz * Wᵀ hu.
-                for r_i in 0..d {
-                    let gr = &mut grads.w_flow.data[r_i * d..(r_i + 1) * d];
-                    let hur = hu[r_i];
-                    for (g, &hvv) in gr.iter_mut().zip(hv) {
-                        *g += dz * hur * hvv;
+                    let z: f32 = hu.iter().zip(&wv_.data).map(|(a, b)| a * b).sum::<f32>()
+                        + self.params.b_flow.data[0];
+                    let y = flow_labels[ei];
+                    flow_loss += bce_with_logit(z, y, 1.0) * inv_e;
+                    let dz = bce_grad(z, y, 1.0) * inv_e;
+                    grads.b_flow.data[0] += dz;
+                    // dW[r][c] += dz * hu[r] * hv[c]; dh_u += dz * W hv; dh_v += dz * Wᵀ hu.
+                    for r_i in 0..d {
+                        let gr = &mut grads.w_flow.data[r_i * d..(r_i + 1) * d];
+                        let hur = hu[r_i];
+                        for (g, &hvv) in gr.iter_mut().zip(hv) {
+                            *g += dz * hur * hvv;
+                        }
+                    }
+                    for (g, wvv) in dh.row_mut(u).iter_mut().zip(&wv_.data) {
+                        *g += dz * wvv;
+                    }
+                    // Wᵀ hu
+                    wtu.data.fill(0.0);
+                    for r_i in 0..d {
+                        let wrow = &self.params.w_flow.data[r_i * d..(r_i + 1) * d];
+                        let hur = hu[r_i];
+                        for (o, w_) in wtu.data.iter_mut().zip(wrow) {
+                            *o += hur * w_;
+                        }
+                    }
+                    for (g, t) in dh.row_mut(v).iter_mut().zip(&wtu.data) {
+                        *g += dz * t;
                     }
                 }
-                for (g, wvv) in dh.row_mut(u).iter_mut().zip(&wv_.data) {
-                    *g += dz * wvv;
-                }
-                // Wᵀ hu
-                wtu.data.fill(0.0);
-                for r_i in 0..d {
-                    let wrow = &self.params.w_flow.data[r_i * d..(r_i + 1) * d];
-                    let hur = hu[r_i];
-                    for (o, w_) in wtu.data.iter_mut().zip(wrow) {
-                        *o += hur * w_;
-                    }
-                }
-                for (g, t) in dh.row_mut(v).iter_mut().zip(&wtu.data) {
-                    *g += dz * t;
-                }
+                scratch.put(wv_);
+                scratch.put(wtu);
             }
-            scratch.put(wv_);
-            scratch.put(wtu);
         }
 
         self.backward_from_dh(graph, cache, dh, grads, scratch);
@@ -775,6 +774,7 @@ impl PicModel {
     /// `graph.edges` (0.0 for non-InterFlow edges).
     pub fn forward_flows(&self, graph: &CtGraph, cache: &ForwardCache) -> Vec<f32> {
         let d = self.cfg.hidden;
+        let h = cache.h_final();
         graph
             .edges
             .iter()
@@ -782,8 +782,8 @@ impl PicModel {
                 if e.kind != snowcat_graph::EdgeKind::InterFlow {
                     return 0.0;
                 }
-                let hu = cache.h_final.row(e.from as usize);
-                let hv = cache.h_final.row(e.to as usize);
+                let hu = h.row(e.from as usize);
+                let hv = h.row(e.to as usize);
                 let mut z = self.params.b_flow.data[0];
                 for (r_i, wrow) in (0..d).zip(self.params.w_flow.data.chunks(d)) {
                     let mut acc = 0.0;
@@ -815,11 +815,10 @@ impl PicModel {
         // Layers, in reverse. `dh` doubles as dh_in: the residual path means
         // dh_in starts as a copy of dh, so we accumulate into it directly.
         for (li, layer) in self.params.layers.iter().enumerate().rev() {
-            let h_in = &cache.layer_h[li];
-            let z = &cache.layer_z[li];
+            let h_in = &cache.hs[li];
             // h_out = relu(z) + h_in  →  dz = dh ⊙ relu'(z); dh_in = dh.
             dz.data.copy_from_slice(&dh.data);
-            dz.relu_backward_mask(z);
+            dz.relu_backward_mask(&cache.relu[li]);
             // Self path.
             h_in.matmul_tn_acc_into(&dz, &mut grads.layers[li].w_self);
             dz.matmul_nt_acc_into(&layer.w_self, &mut dh, scratch);
@@ -832,7 +831,7 @@ impl PicModel {
                 if t == 0 {
                     continue;
                 }
-                let m = &cache.layer_m[li][r];
+                let m = &cache.msgs[li * NUM_EDGE_TYPES + r];
                 let mut dzc = scratch.take(t, d);
                 for (row, &v) in ka.touched().iter().enumerate() {
                     dzc.row_mut(row).copy_from_slice(dz.row(v as usize));
@@ -847,9 +846,9 @@ impl PicModel {
             dz.col_sum_acc_into(&mut grads.layers[li].b);
         }
 
-        // Input transform: h0 = relu(z_in), z_in = b_in + x @ w_in.
+        // Input transform: h0 = relu(b_in + x @ w_in).
         dz.data.copy_from_slice(&dh.data);
-        dz.relu_backward_mask(&cache.z_in);
+        dz.relu_backward_mask(&cache.hs[0]);
         cache.x.matmul_tn_acc_into(&dz, &mut grads.w_in);
         dz.col_sum_acc_into(&mut grads.b_in);
         let dx = &mut dm;
@@ -1021,9 +1020,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// The portable and AVX2 copies of `forward_into` and the training
-        /// path's `forward_cached` give the same probability bits, over
-        /// hidden widths that cross the 8- and 32-wide kernel panels.
+        /// The portable and AVX2 copies of the forward body, without a
+        /// recorder and with one (`forward_cached`), give the same
+        /// probability bits, over hidden widths that cross the 8- and
+        /// 32-wide kernel panels.
         #[test]
         fn forward_isa_copies_are_bit_identical(
             hidden_ix in 0usize..4,
@@ -1056,7 +1056,7 @@ mod tests {
             for n in [0, 1, 2, 7, 19, 40] {
                 let g = random_graph(&mut rng, n);
                 let (cached, _) = model.forward_cached(&g);
-                model.forward_into_body(&g, &mut portable, &mut p_portable);
+                model.forward_into_body(&g, &mut portable, &mut p_portable, None);
                 proptest::prop_assert_eq!(bits(&p_portable), bits(&cached));
                 if avx2 {
                     model.forward_into(&g, &mut vector, &mut p_vector);

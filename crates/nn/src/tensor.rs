@@ -6,12 +6,12 @@
 //! kernels are written so LLVM's autovectorizer emits SIMD on stable:
 //!
 //! * the `matmul` core walks each output row in fixed-width column panels
-//!   ([`PANEL_WIDE`] = 32, then [`PANEL`] = 8); each panel is copied into a
+//!   (`PANEL_WIDE` = 32, then `PANEL` = 8); each panel is copied into a
 //!   `[f32; W]` accumulator that LLVM keeps in vector registers for the
 //!   *entire* k loop, so per product there is exactly one `b`-row load and
 //!   no output-row traffic (the naive axpy form reloads and restores the
 //!   output row on every k step);
-//! * the `matmul_tn` core does rank-[`KU`] (4) updates: four k steps share
+//! * the `matmul_tn` core does rank-`KU` (4) updates: four k steps share
 //!   one pass over the output row, quartering its load/store traffic, with
 //!   the panel bodies on compile-time trip counts via `chunks_exact`.
 //!
@@ -35,8 +35,8 @@
 //! * [`Mat::matmul_bias_relu_into`] initializes each output row with the
 //!   bias row and *then* accumulates the products, i.e.
 //!   `relu(bias[j] + Σ_k …)` with the sum folded left-to-right from
-//!   `bias[j]`. Model code uses this bias-first order everywhere (also on
-//!   the unfused path) so training and inference agree bitwise.
+//!   `bias[j]`. Model code uses this bias-first order for every affine
+//!   transform, fused or not.
 //! * [`Mat::col_sum_acc_into`] folds rows in ascending row order starting
 //!   from the existing accumulator value.
 //!
@@ -47,8 +47,10 @@
 //! # Vector width
 //!
 //! The workspace builds for baseline x86-64 (SSE2, 4-wide `f32`). The one
-//! exception to "safe Rust only" in this crate is the inference forward
-//! pass: [`crate::model::PicModel::forward_into`] is compiled a second time
+//! exception to "safe Rust only" in this crate is the model's one forward
+//! pass, which inference runs through
+//! [`crate::model::PicModel::forward_into`] and training through
+//! [`crate::model::PicModel::forward_cached`]: it is compiled a second time
 //! inside a `#[target_feature(enable = "avx2")]` function and calls it,
 //! through the crate's single `unsafe` call, when the CPU reports AVX2 at
 //! run time. The kernels that pass reaches are `#[inline(always)]` so the
@@ -290,7 +292,7 @@ impl Mat {
         self.matmul_tn_acc_into(other, out);
     }
 
-    /// `out += selfᵀ @ other` — rank-[`KU`] updates; per output element the
+    /// `out += selfᵀ @ other` — rank-`KU` updates; per output element the
     /// additions happen in ascending-k order. Gradient accumulation calls
     /// this directly to skip the temporary + add pass.
     pub fn matmul_tn_acc_into(&self, other: &Mat, out: &mut Mat) {
@@ -493,7 +495,9 @@ impl Mat {
         }
     }
 
-    /// ReLU in place; returns the pre-activation copy for backward.
+    /// ReLU in place. A value ends ≤ 0 exactly when it started ≤ 0 (NaN
+    /// stays NaN), so the output carries the same backward mask as the input
+    /// (see [`Mat::relu_backward_mask`]).
     #[inline(always)]
     pub fn relu_inplace(&mut self) {
         for v in &mut self.data {
@@ -504,6 +508,7 @@ impl Mat {
     }
 
     /// Element-wise multiply by the ReLU mask of `pre` (1 where `pre` > 0).
+    /// `pre` may be the ReLU's input or its output: both give the same mask.
     pub fn relu_backward_mask(&mut self, pre: &Mat) {
         assert_eq!((self.rows, self.cols), (pre.rows, pre.cols));
         for (g, &p) in self.data.iter_mut().zip(&pre.data) {

@@ -15,7 +15,7 @@ use crate::tensor::{Mat, Scratch};
 use rand::{seq::SliceRandom, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
-use snowcat_graph::CtGraph;
+use snowcat_graph::{CtGraph, VertKind};
 
 /// A borrowed (graph, labels) training/evaluation pair.
 pub type LabeledGraph<'a> = (&'a CtGraph, &'a [bool]);
@@ -652,82 +652,64 @@ pub fn flow_average_precision(model: &PicModel, examples: &[FlowLabeledGraph<'_>
     average_precision(&scores, &labels)
 }
 
-/// Average precision over URB vertices pooled across graphs.
-pub fn urb_average_precision(model: &PicModel, examples: &[LabeledGraph<'_>]) -> f64 {
-    let mut scores = Vec::new();
-    let mut labels = Vec::new();
-    let mut session = PicSession::new();
-    let mut probs = Vec::new();
+/// Score every non-empty graph with `score` and hand `visit` the scores and
+/// labels of its selected vertices, in vertex order: its URBs with
+/// `urb_only`, else all of them. Every evaluation below is this loop.
+fn for_each_selected<S: Copy>(
+    examples: &[LabeledGraph<'_>],
+    urb_only: bool,
+    mut score: impl FnMut(&CtGraph, &mut Vec<S>),
+    mut visit: impl FnMut(&[S], &[bool]),
+) {
+    let (mut all, mut selected, mut truth) = (Vec::new(), Vec::new(), Vec::new());
     for (g, y) in examples {
         if g.num_verts() == 0 {
             continue;
         }
-        model.forward_into(g, &mut session, &mut probs);
-        for i in g.urb_indices() {
-            scores.push(probs[i]);
-            labels.push(y[i]);
+        score(g, &mut all);
+        selected.clear();
+        truth.clear();
+        for (i, v) in g.verts.iter().enumerate() {
+            if !urb_only || v.kind == VertKind::Urb {
+                selected.push(all[i]);
+                truth.push(y[i]);
+            }
         }
+        visit(&selected, &truth);
     }
+}
+
+/// The model's forward pass as a [`for_each_selected`] scorer: probabilities,
+/// through one session for the whole loop.
+fn model_scores(model: &PicModel) -> impl FnMut(&CtGraph, &mut Vec<f32>) + '_ {
+    let mut session = PicSession::new();
+    move |g, probs| model.forward_into(g, &mut session, probs)
+}
+
+/// The model's URB probabilities and their labels, pooled across graphs.
+fn pooled_urb_scores(model: &PicModel, examples: &[LabeledGraph<'_>]) -> (Vec<f32>, Vec<bool>) {
+    let (mut scores, mut labels) = (Vec::new(), Vec::new());
+    for_each_selected(examples, true, model_scores(model), |p, y| {
+        scores.extend_from_slice(p);
+        labels.extend_from_slice(y);
+    });
+    (scores, labels)
+}
+
+/// Average precision over URB vertices pooled across graphs.
+pub fn urb_average_precision(model: &PicModel, examples: &[LabeledGraph<'_>]) -> f64 {
+    let (scores, labels) = pooled_urb_scores(model, examples);
     average_precision(&scores, &labels)
 }
 
-/// Tune the classification threshold to maximize mean per-graph F2 on URBs
-/// over the validation set (§5.1.2: "chose the threshold with the highest
-/// mean F2 score on graph URBs").
-pub fn tune_threshold_f2(model: &PicModel, valid: &[LabeledGraph<'_>]) -> f32 {
-    let mut cached: Vec<(Vec<f32>, Vec<usize>, &[bool])> = Vec::new();
-    for (g, y) in valid {
-        if g.num_verts() == 0 {
-            continue;
-        }
-        cached.push((model.forward(g), g.urb_indices(), y));
-    }
-    let mut best_t = 0.5f32;
-    let mut best_f2 = f64::NEG_INFINITY;
-    for step in 1..20 {
-        let t = step as f32 * 0.05;
-        let mut avg = 0.0f64;
-        let mut n = 0usize;
-        for (probs, urbs, labels) in &cached {
-            if urbs.is_empty() {
-                continue;
-            }
-            let preds: Vec<bool> = urbs.iter().map(|&i| probs[i] >= t).collect();
-            let truth: Vec<bool> = urbs.iter().map(|&i| labels[i]).collect();
-            avg += Confusion::from_preds(&preds, &truth).f2();
-            n += 1;
-        }
-        if n > 0 {
-            let mean = avg / n as f64;
-            if mean > best_f2 {
-                best_f2 = mean;
-                best_t = t;
-            }
-        }
-    }
-    best_t
-}
-
 /// Tune the classification threshold to maximize *pooled* F2 on URBs over
-/// the validation set. At reproduction scale CT graphs are small (tens of
-/// vertices, often zero positive URBs), which degenerates per-graph F2; the
-/// pooled variant is the faithful analogue of the paper's tuning on its
-/// ~10k-vertex graphs and is what the pipeline uses.
+/// the validation set. The paper picks the threshold with the highest mean
+/// per-graph F2 on URBs (§5.1.2), but at reproduction scale CT graphs are
+/// small (tens of vertices, often zero positive URBs), which degenerates
+/// per-graph F2; the pooled variant is the faithful analogue of the paper's
+/// tuning on its ~10k-vertex graphs.
 pub fn tune_threshold_f2_pooled(model: &PicModel, valid: &[LabeledGraph<'_>]) -> f32 {
-    let mut scores = Vec::new();
-    let mut labels = Vec::new();
-    let mut session = PicSession::new();
-    let mut probs = Vec::new();
-    for (g, y) in valid {
-        if g.num_verts() == 0 {
-            continue;
-        }
-        model.forward_into(g, &mut session, &mut probs);
-        for i in g.urb_indices() {
-            scores.push(probs[i]);
-            labels.push(y[i]);
-        }
-    }
+    let (scores, labels) = pooled_urb_scores(model, valid);
     let mut best_t = 0.5f32;
     let mut best_f2 = f64::NEG_INFINITY;
     for step in 1..20 {
@@ -750,20 +732,12 @@ pub fn evaluate_pooled(
     threshold: f32,
     urb_only: bool,
 ) -> Confusion {
-    let mut c = Confusion::default();
-    let mut session = PicSession::new();
+    let mut scores = model_scores(model);
     let mut probs = Vec::new();
-    for (g, y) in examples {
-        if g.num_verts() == 0 {
-            continue;
-        }
-        model.forward_into(g, &mut session, &mut probs);
-        let idx: Vec<usize> = if urb_only { g.urb_indices() } else { (0..g.num_verts()).collect() };
-        let preds: Vec<bool> = idx.iter().map(|&i| probs[i] >= threshold).collect();
-        let truth: Vec<bool> = idx.iter().map(|&i| y[i]).collect();
-        c.add(&Confusion::from_preds(&preds, &truth));
-    }
-    c
+    evaluate_predictions_pooled(examples, urb_only, |g| {
+        scores(g, &mut probs);
+        probs.iter().map(|&p| p >= threshold).collect()
+    })
 }
 
 /// Pooled confusion for an arbitrary prediction function (baseline rows).
@@ -776,16 +750,12 @@ where
     F: FnMut(&CtGraph) -> Vec<bool>,
 {
     let mut c = Confusion::default();
-    for (g, y) in examples {
-        if g.num_verts() == 0 {
-            continue;
-        }
-        let preds_all = predict(g);
-        let idx: Vec<usize> = if urb_only { g.urb_indices() } else { (0..g.num_verts()).collect() };
-        let preds: Vec<bool> = idx.iter().map(|&i| preds_all[i]).collect();
-        let truth: Vec<bool> = idx.iter().map(|&i| y[i]).collect();
-        c.add(&Confusion::from_preds(&preds, &truth));
-    }
+    for_each_selected(
+        examples,
+        urb_only,
+        |g, preds| *preds = predict(g),
+        |preds, truth| c.add(&Confusion::from_preds(preds, truth)),
+    );
     c
 }
 
@@ -798,21 +768,14 @@ pub fn evaluate(
     urb_only: bool,
 ) -> MeanMetrics {
     let mut avg = PerGraphAverager::new();
-    let mut session = PicSession::new();
-    let mut probs = Vec::new();
-    for (g, y) in examples {
-        if g.num_verts() == 0 {
-            continue;
+    let mut preds = Vec::new();
+    for_each_selected(examples, urb_only, model_scores(model), |probs, truth| {
+        if !probs.is_empty() {
+            preds.clear();
+            preds.extend(probs.iter().map(|&p| p >= threshold));
+            avg.push(&Confusion::from_preds(&preds, truth));
         }
-        model.forward_into(g, &mut session, &mut probs);
-        let idx: Vec<usize> = if urb_only { g.urb_indices() } else { (0..g.num_verts()).collect() };
-        if idx.is_empty() {
-            continue;
-        }
-        let preds: Vec<bool> = idx.iter().map(|&i| probs[i] >= threshold).collect();
-        let truth: Vec<bool> = idx.iter().map(|&i| y[i]).collect();
-        avg.push(&Confusion::from_preds(&preds, &truth));
-    }
+    });
     avg.finish()
 }
 
@@ -866,7 +829,7 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snowcat_graph::{Edge, EdgeKind, VertKind, Vertex};
+    use snowcat_graph::{Edge, EdgeKind, Vertex};
     use snowcat_kernel::{BlockId, ThreadId};
 
     /// Synthetic task: a URB vertex is covered iff it has an incoming
@@ -939,15 +902,6 @@ mod tests {
             "model failed to learn: AP {before} -> {after}, losses {:?}",
             report.state.epoch_losses
         );
-    }
-
-    #[test]
-    fn threshold_tuning_returns_sane_value() {
-        let data = dataset(0..10);
-        let refs: Vec<LabeledGraph> = data.iter().map(|(g, y)| (g, y.as_slice())).collect();
-        let model = PicModel::new(PicConfig { hidden: 8, layers: 1, ..Default::default() });
-        let t = tune_threshold_f2(&model, &refs);
-        assert!((0.05..=0.95).contains(&t));
     }
 
     #[test]

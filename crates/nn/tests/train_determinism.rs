@@ -10,7 +10,27 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use snowcat_graph::{CtGraph, Edge, EdgeKind, SchedMark, VertKind, Vertex};
 use snowcat_kernel::{BlockId, ThreadId};
-use snowcat_nn::{train, Checkpoint, PicConfig, PicModel, TrainConfig};
+use snowcat_nn::{train, Checkpoint, PicConfig, PicModel, PicParams, TrainConfig};
+
+/// FNV-1a over the `f32` bits of every parameter tensor (in
+/// [`PicParams::tensors`] order), then of every epoch loss.
+fn digest(params: &PicParams, losses: &[f32]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for x in params.tensors().into_iter().flat_map(|t| &t.data).chain(losses) {
+        for b in x.to_bits().to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// [`digest`] of `run(1, 4)` and of the flow run at one thread. Both were
+/// computed with the trainer's former forward pass, a second implementation
+/// that the inference body with a recorder replaced, so any change to
+/// training's bits fails here by name.
+const COVERAGE_DIGEST: u64 = 0xe2e3_0f39_0e89_3e9e;
+const FLOW_DIGEST: u64 = 0x9fc7_7118_6066_56d2;
 
 fn synthetic_example(seed: u64, n: usize) -> (CtGraph, Vec<bool>) {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -63,6 +83,7 @@ fn run(threads: usize, batch: usize) -> (Vec<f32>, Vec<f64>, Checkpoint) {
 #[test]
 fn training_is_bit_identical_across_thread_counts() {
     let (losses1, ap1, ck1) = run(1, 4);
+    assert_eq!(digest(&ck1.params, &losses1), COVERAGE_DIGEST, "training bits changed");
     for threads in [2, 4] {
         let (losses_n, ap_n, ck_n) = run(threads, 4);
         assert_eq!(losses1, losses_n, "epoch losses diverge at threads={threads}");
@@ -114,6 +135,7 @@ fn flow_training_is_bit_identical_across_thread_counts() {
         (report.state.epoch_losses, model.params)
     };
     let (losses1, params1) = run_flow(1);
+    assert_eq!(digest(&params1, &losses1), FLOW_DIGEST, "flow training bits changed");
     let (losses4, params4) = run_flow(4);
     assert_eq!(losses1, losses4);
     assert_eq!(params1, params4);

@@ -1,6 +1,6 @@
 //! # snowcat-race — potential data-race detection
 //!
-//! An implementation of the detector role DataCollider [13] plays in the
+//! An implementation of the detector role DataCollider \[13\] plays in the
 //! paper's evaluation: it scans the serialized memory-access stream of one
 //! dynamic execution and reports *potential data races* — pairs of accesses
 //! from different threads to the same address, at least one being a write,
@@ -15,8 +15,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod report;
 
 use serde::{Deserialize, Serialize};
 use snowcat_kernel::{Addr, BugId, InstrLoc, Kernel, RegionKind};

@@ -1,8 +1,7 @@
 //! The interpreter: a deterministic uniprocessor VM over the synthetic
 //! kernel, playing the role of the paper's modified SKI/QEMU.
 //!
-//! Exactly one thread runs at a time; a [`Scheduler`](crate::sched::Scheduler)
-//! picks the thread before every step. A *step* is one of:
+//! Exactly one thread runs at a time; a [`Scheduler`] picks the thread before every step. A *step* is one of:
 //!
 //! * executing one body instruction,
 //! * evaluating a block terminator (moving to the next block), or

@@ -16,14 +16,12 @@
 
 pub mod bitset;
 pub mod exec;
-pub mod replay;
 pub mod sched;
 pub mod sti;
 pub mod trace;
 
 pub use bitset::BitSet;
 pub use exec::{run_ct, run_sequential, Vm, VmConfig};
-pub use replay::{RecordingScheduler, ReplayScheduler, ScheduleTrace};
 pub use sched::{
     propose_hints, HintScheduler, PctScheduler, ScheduleHints, Scheduler, SequentialScheduler,
     SwitchPoint, ThreadView,

@@ -105,13 +105,6 @@ impl ExecResult {
     pub fn hit_bug(&self, bug: BugId) -> bool {
         self.bugs.iter().any(|b| b.bug == bug)
     }
-
-    /// Coverage of blocks *not* covered by the given baseline set —
-    /// the paper's "schedule-dependent block coverage" subtracts all SCBs of
-    /// the concurrent test.
-    pub fn coverage_beyond(&self, baseline: &BitSet) -> BitSet {
-        self.coverage.difference(baseline)
-    }
 }
 
 #[cfg(test)]
@@ -151,15 +144,5 @@ mod tests {
         let r = result_with_bugs(&[5]);
         assert!(r.hit_bug(BugId(5)));
         assert!(!r.hit_bug(BugId(6)));
-    }
-
-    #[test]
-    fn coverage_beyond_subtracts() {
-        let mut r = result_with_bugs(&[]);
-        r.coverage.insert(1);
-        r.coverage.insert(2);
-        let mut base = BitSet::new(8);
-        base.insert(1);
-        assert_eq!(r.coverage_beyond(&base).iter().collect::<Vec<_>>(), vec![2]);
     }
 }

@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`kernel`] | synthetic kernel: IR, generator, versions, planted bugs |
 //! | [`vm`] | SKI-style uniprocessor VM with scheduling hints and PCT |
-//! | [`cfg`] | whole-kernel CFG, uncovered-reachable-block identification |
+//! | [`cfg`](mod@cfg) | whole-kernel CFG, uncovered-reachable-block identification |
 //! | [`race`] | potential-data-race detection and deduplication |
 //! | [`analysis`] | must-hold locksets, lock-discipline lints, static may-race |
 //! | [`corpus`] | STI fuzzing, CTI pairing, labelled graph datasets |
